@@ -1,7 +1,7 @@
 package antdensity_test
 
-// One benchmark per reproduction experiment (see DESIGN.md's
-// per-experiment index). Each bench regenerates its experiment's
+// One benchmark per reproduction experiment (the index is
+// internal/experiments/registry.go). Each bench regenerates its experiment's
 // series in quick mode — sized so the full bench suite completes in
 // minutes — and reports the experiment's headline metric through
 // b.ReportMetric. Full-size tables are produced by

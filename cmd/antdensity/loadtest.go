@@ -2,9 +2,9 @@ package main
 
 // The loadtest subcommand drives the serve API with thousands of
 // concurrent submissions and reports the latency/throughput/cache
-// profile as JSON (BENCH_PR6.json in CI). By default it spins up an
-// in-process server on a loopback port, so the benchmark is
-// self-contained; -addr points it at an external instance instead.
+// profile as JSON, to stdout unless -out names a file. By default it
+// spins up an in-process server on a loopback port, so the benchmark
+// is self-contained; -addr points it at an external instance instead.
 //
 // Each virtual client loops: POST a small density spec, then poll the
 // result endpoint until the structured result lands. A -dup fraction
@@ -64,7 +64,7 @@ func cmdLoadtest(args []string) error {
 	dup := fs.Float64("dup", 0.5, "fraction of submissions reusing an earlier (Spec, seed)")
 	workers := fs.Int("workers", 0, "in-process server workers (0 = GOMAXPROCS)")
 	queueLimit := fs.Int("queue-limit", 0, "in-process server queue limit (0 = unbounded)")
-	out := fs.String("out", "BENCH_PR6.json", "report path (- = stdout)")
+	out := fs.String("out", "-", "report path (- = stdout)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -98,6 +98,67 @@ func TestServeSSEStream(t *testing.T) {
 	}
 }
 
+// TestServeSSEEndFrameTerminal streams many tiny runs from the moment
+// they are submitted, so some finish between the stream's snapshot
+// read and its terminal check. Every end frame must name a terminal
+// state, and the snapshot frame before it must be the terminal view
+// in that same state.
+func TestServeSSEEndFrameTerminal(t *testing.T) {
+	srv, _ := newTestServer(t)
+	const runs, clients = 120, 4
+	errs := make(chan error, runs)
+	sem := make(chan struct{}, clients)
+	for i := 0; i < runs; i++ {
+		sem <- struct{}{}
+		go func(seed int) {
+			defer func() { <-sem }()
+			errs <- streamTinyRun(t, srv, seed)
+		}(i + 1)
+	}
+	for i := 0; i < runs; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// streamTinyRun submits one tiny density run, follows its events to
+// the end frame, and checks the end frame and the terminal snapshot.
+func streamTinyRun(t *testing.T, srv *httptest.Server, seed int) error {
+	body := fmt.Sprintf(`{"kind":"density","graph":{"kind":"torus2d","side":20},"agents":41,"rounds":200,"seed":%d}`, seed)
+	resp, err := http.Post(srv.URL+"/v1/runs", "application/json", strings.NewReader(body))
+	if err != nil {
+		return err
+	}
+	var sub runSnapshot
+	err = json.NewDecoder(resp.Body).Decode(&sub)
+	resp.Body.Close()
+	if err != nil {
+		return err
+	}
+	ev, err := http.Get(srv.URL + "/v1/runs/" + sub.ID + "/events")
+	if err != nil {
+		return err
+	}
+	defer ev.Body.Close()
+	events := readSSE(t, ev.Body, 1000)
+	if len(events) < 2 || events[len(events)-1].name != "end" {
+		return fmt.Errorf("run %s: stream did not finish with an end frame: %+v", sub.ID, events)
+	}
+	var end struct{ State string }
+	if err := json.Unmarshal([]byte(events[len(events)-1].data), &end); err != nil {
+		return err
+	}
+	var last runSnapshot
+	if err := json.Unmarshal([]byte(events[len(events)-2].data), &last); err != nil {
+		return err
+	}
+	if end.State != "done" || last.State != "done" || last.Round != 200 {
+		return fmt.Errorf("run %s: end frame state %q after snapshot %+v, want done after the round-200 done snapshot", sub.ID, end.State, last)
+	}
+	return nil
+}
+
 // TestServeSSEClientDisconnect checks a dropped client doesn't wedge
 // the server: the stream goroutine exits and the run keeps going.
 func TestServeSSEClientDisconnect(t *testing.T) {

@@ -1,10 +1,12 @@
 package main
 
 // GET /v1/runs/{id}/events streams a run's anytime snapshots over
-// Server-Sent Events, replacing client polling. Run.Snapshot is an
-// atomic pointer read and Run.Updated is a closed-channel broadcast
-// armed by every publication, so each connected client costs one
-// parked goroutine and zero work on the simulation's hot path.
+// Server-Sent Events, replacing client polling. Run.Updated is a
+// closed-channel broadcast closed by the next publication, and
+// Run.Snapshot derives a published round's view on the reader's
+// goroutine, so each connected client costs one parked goroutine plus
+// the derivation of the rounds it streams, and nothing on the
+// simulation's hot path.
 //
 // Protocol: each published view arrives as
 //
@@ -80,18 +82,28 @@ func (s *server) streamEvents(w http.ResponseWriter, r *http.Request, mr *antden
 		return
 	}
 	lastRound, lastState := -1, ""
+	emit := func(snap runSnapshot) error {
+		if snap.Round == lastRound && snap.State == lastState {
+			return nil
+		}
+		lastRound, lastState = snap.Round, snap.State
+		return sse.event("snapshot", snap)
+	}
 	for {
 		// Arm the wakeup before reading, so a publication landing
 		// between the read and the wait still wakes us.
 		updated := mr.Run.Updated()
-		snap := snapshotResponse(mr)
-		if snap.Round != lastRound || snap.State != lastState {
-			lastRound, lastState = snap.Round, snap.State
-			if err := sse.event("snapshot", snap); err != nil {
-				return // client went away
-			}
+		if err := emit(snapshotResponse(mr)); err != nil {
+			return // client went away
 		}
 		if mr.Run.State().Terminal() {
+			// The run may have finished after the read above: the
+			// terminal snapshot is published before the terminal
+			// state, so this re-read is terminal.
+			snap := snapshotResponse(mr)
+			if err := emit(snap); err != nil {
+				return
+			}
 			sse.end(snap.State)
 			return
 		}

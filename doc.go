@@ -20,8 +20,12 @@
 //     leaves its world consistent) and live anytime Snapshots
 //     (current round, per-agent estimates with confidence bands,
 //     progress) readable from any goroutine without blocking the
-//     stepping loop. Results come back typed (Output) and structured
-//     (RunResult, the internal/results model).
+//     stepping loop. Each published round only captures its state
+//     (for density and quorum runs, a copy of the collision counts)
+//     into a recycled frame; the first Snapshot read of a round
+//     derives its estimates and bands. Results come back typed
+//     (Output) and structured (RunResult, the internal/results
+//     model).
 //   - Manager (manager.go) — schedules many concurrent Runs over a
 //     bounded worker pool with fair FIFO admission, a bounded queue
 //     (SetQueueLimit / ErrQueueFull), and a result cache keyed by the
@@ -48,9 +52,9 @@
 //     per-agent RNG streams are parallel flat slices, stepped by
 //     batched kernels that bulk-fill randomness (internal/rng's
 //     Uint64nEach/FloatEach) and apply moves with branch-free
-//     arithmetic; an incrementally maintained occupancy index (dense
-//     array with cache-blocked updates, or a split-array open-address
-//     table, chosen by a memory-budget rule) serves counts; a
+//     arithmetic; an incrementally maintained occupancy index (a dense
+//     array, or a split-array open-address table, chosen by a
+//     memory-budget rule) serves counts; a
 //     persistent worker pool behind StepParallel splits agents on
 //     cache-line-aligned chunk boundaries. For 10M+ agent worlds,
 //     Config.Shards (Spec.WithShards, CLI -shards) partitions the
@@ -89,8 +93,8 @@
 //   - internal/experiments — one registered experiment per paper
 //     claim, declared as data: parameter axes, a cell function that
 //     measures one grid point, and a body that emits a structured
-//     report; see DESIGN.md for the index and EXPERIMENTS.md for
-//     paper-vs-measured results.
+//     report; registry.go holds the index and `antdensity list`
+//     prints it.
 //   - internal/results — the typed results model (Result/Series/Cell
 //     with value, 95% CI, trial count, and unit) every renderer
 //     consumes: text tables (internal/expfmt), JSON, and CSV.

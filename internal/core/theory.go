@@ -17,10 +17,33 @@ import (
 //
 //	eps = c1 * sqrt(log(1/delta) / (t*d)) * log(2t).
 func TheoremOneEpsilon(t int, d, delta, c1 float64) float64 {
+	return NewTheoremOneBand(t, delta, c1).Epsilon(d)
+}
+
+// TheoremOneBand is TheoremOneEpsilon at a fixed round count, delta
+// and c1, with the round's two logarithms computed once: evaluating
+// every agent's band of one round costs a Sqrt each instead of two
+// Logs and a Sqrt.
+type TheoremOneBand struct {
+	c1, t       float64
+	logInvDelta float64 // log(1/delta)
+	log2t       float64 // log(2t)
+}
+
+// NewTheoremOneBand fixes TheoremOneEpsilon's round count, delta and
+// c1.
+func NewTheoremOneBand(t int, delta, c1 float64) TheoremOneBand {
 	validateRounds(t)
 	validateProb("delta", delta)
+	tf := float64(t)
+	return TheoremOneBand{c1: c1, t: tf, logInvDelta: math.Log(1 / delta), log2t: math.Log(2 * tf)}
+}
+
+// Epsilon returns TheoremOneEpsilon(t, d, delta, c1), bit for bit: the
+// operations run in the same order on the same operands.
+func (b TheoremOneBand) Epsilon(d float64) float64 {
 	validateDensity(d)
-	return c1 * math.Sqrt(math.Log(1/delta)/(float64(t)*d)) * math.Log(2*float64(t))
+	return b.c1 * math.Sqrt(b.logInvDelta/(b.t*d)) * b.log2t
 }
 
 // TheoremOneRounds returns the Theorem 1 round count sufficient for a

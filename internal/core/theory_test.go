@@ -28,6 +28,29 @@ func TestTheoremOneEpsilonValue(t *testing.T) {
 	}
 }
 
+// TestTheoremOneBandBitIdentical pins the hoisted band to the
+// unhoisted Theorem 1 formula bit for bit, across round counts,
+// densities (including the clamp value 1 and tiny plug-ins), deltas
+// and constants.
+func TestTheoremOneBandBitIdentical(t *testing.T) {
+	for _, rounds := range []int{1, 2, 3, 7, 100, 4096, 1_000_003} {
+		for _, delta := range []float64{1e-9, 0.05, 0.5, 0.999} {
+			for _, c1 := range []float64{0.35, 0.6, 1, 3.7} {
+				band := NewTheoremOneBand(rounds, delta, c1)
+				for _, d := range []float64{1e-7, 1.0 / 3, 0.1, 0.73, 1} {
+					want := c1 * math.Sqrt(math.Log(1/delta)/(float64(rounds)*d)) * math.Log(2*float64(rounds))
+					if got := band.Epsilon(d); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("band(t=%d, delta=%v, c1=%v).Epsilon(%v) = %v, want %v", rounds, delta, c1, d, got, want)
+					}
+					if got := TheoremOneEpsilon(rounds, d, delta, c1); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("TheoremOneEpsilon(%d, %v, %v, %v) = %v, want %v", rounds, d, delta, c1, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestTheoremOneRoundsDominatesTheorem32(t *testing.T) {
 	// The torus needs at most a polylog factor more rounds than
 	// independent sampling (with matching constants).

@@ -2,8 +2,8 @@
 // registered experiment per quantitative claim of the paper, each
 // regenerating the corresponding series (the paper is an extended
 // abstract with schematic figures only, so the "tables and figures"
-// to reproduce are the theorem-predicted scalings; see DESIGN.md for
-// the full index).
+// to reproduce are the theorem-predicted scalings; the registry below
+// is the full index).
 //
 // Experiments are declarative: each registry entry carries its
 // parameter axes (densities, horizons, grid sizes, policies) as data

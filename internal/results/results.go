@@ -11,6 +11,7 @@ package results
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -197,6 +198,22 @@ func (s *Series) AddCells(cells ...Cell) {
 			s.Name, len(cells), len(s.Columns)))
 	}
 	s.Rows = append(s.Rows, append([]Cell(nil), cells...))
+}
+
+// AddRows appends n rows carved from one backing cell array and
+// returns them for the caller to fill in place: one allocation for
+// the block instead of one per row, for per-agent tables. Each row is
+// capped at the column count, so appending to one cannot overwrite
+// the next.
+func (s *Series) AddRows(n int) [][]Cell {
+	w := len(s.Columns)
+	cells := make([]Cell, n*w)
+	start := len(s.Rows)
+	s.Rows = slices.Grow(s.Rows, n)
+	for i := 0; i < n; i++ {
+		s.Rows = append(s.Rows, cells[i*w:(i+1)*w:(i+1)*w])
+	}
+	return s.Rows[start:]
 }
 
 // NumRows returns the number of rows added so far.

@@ -197,3 +197,38 @@ func TestNumber(t *testing.T) {
 		t.Error("String Number reported ok")
 	}
 }
+
+// TestAddRowsMatchesAddRow checks that rows filled in place from one
+// backing array encode to the same JSON and CSV bytes as AddRow rows,
+// and that appending to one row cannot overwrite the next.
+func TestAddRowsMatchesAddRow(t *testing.T) {
+	ests := []float64{0.25, math.Inf(1), 0, 1.0 / 3}
+	byRow, filled := &Result{ID: "x"}, &Result{ID: "x"}
+	a := byRow.AddSeries("estimates", Cols("agent", "estimate", "vote")...)
+	b := filled.AddSeries("estimates", Cols("agent", "estimate", "vote")...)
+	a.AddRow("head", 0.5, true)
+	b.AddRow("head", 0.5, true)
+	rows := b.AddRows(len(ests))
+	for i, e := range ests {
+		a.AddRow(i, e, e > 0.2)
+		rows[i][0], rows[i][1], rows[i][2] = Int(int64(i)), Float(e), Bool(e > 0.2)
+	}
+	for _, enc := range []func(*bytes.Buffer, *Result) error{
+		func(w *bytes.Buffer, r *Result) error { return WriteJSON(w, r) },
+		func(w *bytes.Buffer, r *Result) error { return WriteCSV(w, r) },
+	} {
+		var wa, wb bytes.Buffer
+		if err := enc(&wa, byRow); err != nil {
+			t.Fatal(err)
+		}
+		if err := enc(&wb, filled); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wa.Bytes(), wb.Bytes()) {
+			t.Fatalf("AddRows encoding differs:\n%s\nvs AddRow:\n%s", wb.String(), wa.String())
+		}
+	}
+	if grown := append(b.Rows[1], String("extra")); len(grown) != 4 || !reflect.DeepEqual(b.Rows[2], a.Rows[2]) {
+		t.Fatal("appending to a row overwrote the next row")
+	}
+}

@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the alternative collision-counting implementation
-// used as an ablation (DESIGN.md design choice #1): counting by
+// used as an ablation: counting by
 // sorting the position array instead of hashing it. Both paths must
 // agree exactly; CountsAll (hash) is the default because it wins at
 // the agent counts the experiments use, while sorting avoids hash

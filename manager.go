@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 )
 
@@ -43,7 +44,7 @@ type Manager struct {
 
 	mu     sync.Mutex
 	runs   map[string]*ManagedRun
-	order  []string // submission order, for Runs()
+	order  []string // submission order, with dedup hits moved to the back; retention evicts from the front
 	queue  []*ManagedRun
 	active int
 	seq    int
@@ -109,8 +110,8 @@ func (m *Manager) CacheStats() (hits, misses uint64) {
 }
 
 // SetRetention bounds how many terminal (done/canceled/failed) runs
-// stay registered: once exceeded, the oldest terminal runs are
-// evicted — their ids stop resolving, but live handles keep working.
+// stay registered: once exceeded, the least recently submitted or
+// dedup-hit terminal runs are evicted — their ids stop resolving, but live handles keep working.
 // Pending, queued, and running runs are never evicted. n < 0 keeps
 // every run forever (the pre-retention behavior); the default is
 // DefaultRetention, so a long-lived server does not accumulate every
@@ -275,7 +276,9 @@ func (m *Manager) submit(spec *Spec, id string, dedup bool) (*ManagedRun, bool, 
 
 // cacheLookup resolves a fingerprint to a live cache entry, dropping
 // mappings whose runs were evicted or ended canceled/failed (those
-// must be recomputed).
+// must be recomputed). A hit moves the run to the back of the
+// retention order, so retention evicts least recently used runs: the
+// run just handed out is the last to go, not possibly the next.
 func (m *Manager) cacheLookup(fp string) (*ManagedRun, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -289,7 +292,15 @@ func (m *Manager) cacheLookup(fp string) (*ManagedRun, bool) {
 		return nil, false
 	}
 	m.hits++
+	m.touch(id)
 	return mr, true
+}
+
+// touch moves id to the back of m.order. Callers hold m.mu.
+func (m *Manager) touch(id string) {
+	if i := slices.Index(m.order, id); i >= 0 {
+		m.order = append(slices.Delete(m.order, i, i+1), id)
+	}
 }
 
 // pump admits queued runs while worker slots are free. Callers hold
@@ -324,7 +335,9 @@ func (m *Manager) Get(id string) (*ManagedRun, bool) {
 	return mr, ok
 }
 
-// Runs returns every registered run in submission order.
+// Runs returns every registered run in retention order: submission
+// order, except that a SubmitDeduped cache hit moves its run to the
+// end.
 func (m *Manager) Runs() []*ManagedRun {
 	m.mu.Lock()
 	defer m.mu.Unlock()

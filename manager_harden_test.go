@@ -131,6 +131,50 @@ func TestManagerSubmitDeduped(t *testing.T) {
 	f.Run.Wait()
 }
 
+// TestManagerRetentionLRUOnCacheHit pins least-recently-used
+// retention: a dedup hit on the oldest retained run makes it the
+// newest, so the next completion evicts the other run and the id just
+// handed to the client keeps resolving.
+func TestManagerRetentionLRUOnCacheHit(t *testing.T) {
+	m := antdensity.NewManager(1)
+	defer m.Close()
+	m.SetRetention(2)
+	submit := func(seed uint64, wantCached bool) *antdensity.ManagedRun {
+		t.Helper()
+		mr, cached, err := m.SubmitDeduped(quickSpec(seed))
+		if err != nil || cached != wantCached {
+			t.Fatalf("SubmitDeduped(seed %d) = cached %v, err %v; want cached %v", seed, cached, err, wantCached)
+		}
+		if err := mr.Run.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		return mr
+	}
+	oldest := submit(1, false)
+	other := submit(2, false)
+	if hit := submit(1, true); hit != oldest {
+		t.Fatalf("cache hit returned %s, want %s", hit.ID, oldest.ID)
+	}
+	newest := submit(3, false)
+	// Eviction runs on the worker goroutine after the run finishes.
+	deadline := time.Now().Add(30 * time.Second)
+	for len(m.Runs()) > 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("retention did not evict: %d runs registered", len(m.Runs()))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, ok := m.Get(oldest.ID); !ok {
+		t.Errorf("cache-hit run %s was evicted right after it was handed out", oldest.ID)
+	}
+	if _, ok := m.Get(other.ID); ok {
+		t.Errorf("least recently used run %s is still registered", other.ID)
+	}
+	if _, ok := m.Get(newest.ID); !ok {
+		t.Errorf("newest run %s was evicted", newest.ID)
+	}
+}
+
 func TestManagerSubmitWithIDAndSeqBase(t *testing.T) {
 	m := antdensity.NewManager(2)
 	defer m.Close()

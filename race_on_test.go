@@ -1,0 +1,7 @@
+//go:build race
+
+package antdensity
+
+// raceEnabled reports whether the race detector is active; allocation
+// pins skip under it because instrumentation allocates.
+const raceEnabled = true

@@ -7,15 +7,26 @@ package antdensity
 // consistent on a round boundary) and live anytime snapshots — the
 // paper's whole point is that Algorithm 1's estimate improves every
 // round, and Snapshot exposes exactly that mid-flight view to other
-// goroutines without blocking the stepping loop (an atomic pointer
-// swap per published round; readers never take a lock the hot path
-// holds).
+// goroutines.
+//
+// Snapshots are captured on publish and derived on read. Each
+// published round only captures its state into a frame: the round
+// and, for density and quorum runs, a copy of the observer's
+// collision counts. Frames are recycled through a small ring, so a
+// run nobody reads allocates nothing per round. The first Snapshot
+// call on a frame derives the estimates, bands, mean and votes from
+// it and memoizes them for every later reader of that frame. A
+// reader pins the frame with an atomic CAS while deriving; the
+// stepping goroutine never reuses a pinned frame, so readers never
+// block it and it never blocks them. The terminal snapshot is derived
+// eagerly and keeps no counts.
 
 import (
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -134,8 +145,11 @@ type Run struct {
 	exec      func(ctx context.Context) (Output, *results.Result, error)
 
 	state   atomic.Int32
-	snap    atomic.Pointer[Snapshot]
-	updated atomic.Pointer[chan struct{}]
+	cur     atomic.Pointer[frame]         // the latest published frame
+	ring    []*frame                      // recyclable frames; run goroutine only, nil once terminal
+	capture func(f *frame)                // fills a frame's kind-specific state at publish; nil captures nothing
+	derive  func(f *frame)                // derives estimate fields from captured counts on first read; nil when capture filled them
+	updated atomic.Pointer[chan struct{}] // armed by Updated, closed by the next publish; nil when nobody waits
 
 	mu       sync.Mutex
 	started  bool
@@ -154,8 +168,6 @@ func (s *Spec) NewRun() (*Run, error) {
 		return nil, err
 	}
 	r := &Run{spec: s, done: make(chan struct{})}
-	watch := make(chan struct{})
-	r.updated.Store(&watch)
 	var err error
 	switch s.Kind {
 	case KindNetworkSize:
@@ -182,7 +194,10 @@ func (s *Spec) NewRun() (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.snap.Store(&Snapshot{State: StatePending, MaxRounds: s.Rounds, NumAgents: r.numAgents})
+	r.ring = []*frame{{}, {}, {}}
+	pending := r.ring[0]
+	pending.snap = Snapshot{MaxRounds: s.Rounds, NumAgents: r.numAgents}
+	r.cur.Store(pending)
 	return r, nil
 }
 
@@ -233,21 +248,15 @@ func (r *Run) loop(ctx context.Context) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.output, r.result, r.err = out, res, err
+	state := StateDone
 	switch {
 	case err == nil:
-		r.state.Store(int32(StateDone))
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-		r.state.Store(int32(StateCanceled))
+		state = StateCanceled
 	default:
-		r.state.Store(int32(StateFailed))
+		state = StateFailed
 	}
-	final := *r.snap.Load()
-	final.State = r.State()
-	if err != nil {
-		final.Err = err.Error()
-	}
-	r.snap.Store(&final)
-	r.wake()
+	r.finish(state, err)
 	if r.cancelFn != nil {
 		r.cancelFn() // release the context's resources
 	}
@@ -285,12 +294,7 @@ func (r *Run) Cancel() {
 	// Never started: finish as cancelled right here.
 	r.started = true
 	r.err = context.Canceled
-	r.state.Store(int32(StateCanceled))
-	final := *r.snap.Load()
-	final.State = StateCanceled
-	final.Err = r.err.Error()
-	r.snap.Store(&final)
-	r.wake()
+	r.finish(StateCanceled, r.err)
 	close(r.done)
 	r.mu.Unlock()
 }
@@ -318,14 +322,39 @@ func (r *Run) Err() error {
 	return r.err
 }
 
-// Snapshot returns the latest published anytime view. It never
-// blocks the run: publication is an atomic pointer swap on round
-// boundaries, and readers share the immutable published value.
+// finish publishes the terminal snapshot, then the terminal state
+// (callers hold r.mu and are the only publisher left). The snapshot
+// is derived from the last frame right here and published in a frame
+// of its own without counts, so a finished run retains no capture
+// buffers. Publishing it before the state means a reader who sees a
+// terminal State also reads a terminal Snapshot.
+func (r *Run) finish(state RunState, err error) {
+	final := r.cur.Load().view(r.derive)
+	final.State = state
+	if err != nil {
+		final.Err = err.Error()
+	}
+	f := &frame{snap: final}
+	f.once.Do(func() {}) // already derived
+	r.cur.Store(f)
+	r.ring = nil
+	r.state.Store(int32(state))
+	r.wake()
+}
+
+// Snapshot returns the latest published anytime view. The first read
+// of a published round derives its estimate fields from the captured
+// state; later reads of the same round share that derivation. It
+// never blocks the run and the run never blocks it. The returned
+// slices are shared with every other reader of the same round: treat
+// them as read-only.
 func (r *Run) Snapshot() Snapshot {
-	snap := *r.snap.Load()
+	f := r.pin()
+	snap := f.view(r.derive)
+	f.pins.Add(-1)
 	if !snap.State.Terminal() {
-		// Pending/queued/running transitions happen without a fresh
-		// measurement; surface the current phase.
+		// Pending/queued/running transitions publish no frame;
+		// surface the current phase.
 		snap.State = r.State()
 	}
 	return snap
@@ -353,24 +382,107 @@ func (r *Run) Result() (*RunResult, error) {
 	return r.result, nil
 }
 
-// publish stores a fresh snapshot (run goroutine only) and wakes
-// every Updated watcher.
-func (r *Run) publish(snap Snapshot) {
-	r.snap.Store(&snap)
+// frame is one published round: its snapshot's progress fields and
+// the state captured for deriving the rest on first read.
+type frame struct {
+	// pins counts readers holding the frame; -1 while the run
+	// goroutine owns it for writing.
+	pins atomic.Int32
+	// counts is the captured collision counts (density and quorum).
+	counts []int64
+	once   sync.Once
+	// snap holds the progress fields from publish, the estimate fields
+	// a capture filled eagerly, and, once once has run, the derived
+	// ones.
+	snap Snapshot
+}
+
+// view returns the frame's snapshot, running derive on the first
+// call. The caller holds a pin, or is the run goroutine after its
+// last publish.
+func (f *frame) view(derive func(*frame)) Snapshot {
+	f.once.Do(func() {
+		if derive != nil && f.snap.Round > 0 {
+			derive(f)
+		}
+	})
+	return f.snap
+}
+
+// pin returns the current frame with a reader pin held; release it
+// with f.pins.Add(-1). A frame read between its publication and its
+// opening (or being reclaimed after it was superseded) is retried.
+func (r *Run) pin() *frame {
+	for {
+		f := r.cur.Load()
+		if n := f.pins.Load(); n >= 0 && f.pins.CompareAndSwap(n, n+1) {
+			return f
+		}
+		runtime.Gosched()
+	}
+}
+
+// publish captures the state after `round` completed rounds into a
+// recycled frame and makes it current (run goroutine only), then
+// wakes every Updated watcher. The frame opens to readers only after
+// it is current, so no reader can see a round newer than the current
+// one and then an older one.
+//
+//antlint:noalloc
+func (r *Run) publish(round, maxRounds int) {
+	f := r.spareFrame()
+	f.snap = Snapshot{
+		Round:     round,
+		MaxRounds: maxRounds,
+		Progress:  float64(round) / float64(maxRounds),
+		NumAgents: r.numAgents,
+	}
+	f.once = sync.Once{}
+	if round > 0 && r.capture != nil {
+		r.capture(f)
+	}
+	r.cur.Store(f)
+	f.pins.Store(0)
 	r.wake()
 }
 
-// wake closes the current Updated channel and installs a fresh one —
-// the closed-channel broadcast: every watcher parked on the old
-// channel unblocks and re-reads Snapshot.
+// spareFrame claims a ring frame that is neither current nor pinned
+// (run goroutine only). A pinned frame is never reused: when readers
+// pin every spare, a fresh frame takes one's ring slot and the
+// readers keep the old one until they let go.
+//
+//antlint:noalloc
+func (r *Run) spareFrame() *frame {
+	cur := r.cur.Load()
+	for _, f := range r.ring {
+		if f != cur && f.pins.CompareAndSwap(0, -1) {
+			return f
+		}
+	}
+	for i, f := range r.ring {
+		if f != cur {
+			fresh := &frame{}
+			fresh.pins.Store(-1)
+			r.ring[i] = fresh
+			return fresh
+		}
+	}
+	panic("antdensity: frame ring has no spare slot")
+}
+
+// wake closes the Updated channel if a watcher armed one — the
+// closed-channel broadcast: every watcher parked on it unblocks and
+// re-reads Snapshot. With no watchers it allocates nothing.
+//
+//antlint:noalloc
 func (r *Run) wake() {
-	fresh := make(chan struct{})
-	old := r.updated.Swap(&fresh)
-	close(*old)
+	if ch := r.updated.Swap(nil); ch != nil {
+		close(*ch)
+	}
 }
 
 // Updated returns a channel closed the next time the run publishes a
-// snapshot (or reaches a terminal state — see Done for a channel that
+// round (or reaches a terminal state — see Done for a channel that
 // stays closed). The intended pattern for streaming consumers:
 //
 //	for {
@@ -388,41 +500,32 @@ func (r *Run) wake() {
 //
 // Reading the channel before the snapshot guarantees no update is
 // missed: a publish after the Snapshot read closes the returned
-// channel.
-func (r *Run) Updated() <-chan struct{} { return *r.updated.Load() }
-
-// measureFn fills a snapshot's kind-specific estimate fields for the
-// given completed-round count.
-type measureFn func(round int, snap *Snapshot)
-
-// snapshotAt measures and publishes the view after `round` completed
-// rounds.
-func (r *Run) snapshotAt(round, maxRounds int, measure measureFn) {
-	snap := Snapshot{
-		State:     StateRunning,
-		Round:     round,
-		MaxRounds: maxRounds,
-		Progress:  float64(round) / float64(maxRounds),
-		NumAgents: r.numAgents,
+// channel. The channel is made on the first call after a publish, so
+// publishing costs nothing while nobody waits.
+func (r *Run) Updated() <-chan struct{} {
+	for {
+		if ch := r.updated.Load(); ch != nil {
+			return *ch
+		}
+		fresh := make(chan struct{})
+		if r.updated.CompareAndSwap(nil, &fresh) {
+			return fresh
+		}
 	}
-	if measure != nil && round > 0 {
-		measure(round, &snap)
-	}
-	r.publish(snap)
 }
 
-// publisher returns a pipeline observer that publishes a snapshot
-// every SnapshotEvery rounds (and on the final round of a full-length
-// run), recording every observed round in *last so the engine can
-// republish an exact final snapshot when the run stops between
-// strides (early stop or cancellation).
-func (r *Run) publisher(maxRounds int, measure measureFn, last *int) sim.Observer {
+// publisher returns a pipeline observer that publishes every
+// SnapshotEvery rounds (and on the final round of a full-length run),
+// recording every observed round in *last so the engine can republish
+// an exact final frame when the run stops between strides (early stop
+// or cancellation).
+func (r *Run) publisher(maxRounds int, last *int) sim.Observer {
 	every := r.spec.snapshotEvery()
 	return sim.ObserverFunc(func(rd *sim.Round) sim.Signal {
 		round := rd.Index()
 		*last = round
 		if round%every == 0 || round == maxRounds {
-			r.snapshotAt(round, maxRounds, measure)
+			r.publish(round, maxRounds)
 		}
 		return sim.Continue
 	})
@@ -444,34 +547,34 @@ func meanFinite(xs []float64) float64 {
 	return sum / float64(n)
 }
 
-// bandHalf returns the anytime confidence half-width for a running
-// estimate after `rounds` rounds — the StreamingEstimator.Interval
-// band shape with the Spec's delta and c1.
-func (r *Run) bandHalf(est float64, rounds int) float64 {
-	if rounds == 0 || est == 0 {
-		return math.Inf(1)
-	}
-	plugin := est
-	if plugin > 1 {
-		plugin = 1
-	}
-	return core.TheoremOneEpsilon(rounds, plugin, r.spec.delta(), r.spec.c1()) * est
+// captureCounts is the density and quorum capture: a copy of the
+// observer's collision counts into the frame's reused buffer.
+func captureCounts(obs *core.CollisionObserver) func(f *frame) {
+	return func(f *frame) { f.counts = append(f.counts[:0], obs.Counts()...) }
 }
 
-// countEstimates converts accumulated collision counts to running
-// density estimates c/round, with anytime bands when wantCI.
-func (r *Run) countEstimates(counts []int64, round int, wantCI bool) (ests, half []float64) {
-	ests = make([]float64, len(counts))
-	if wantCI {
-		half = make([]float64, len(counts))
-	}
-	for i, c := range counts {
+// deriveCounts converts a frame's captured counts to running density
+// estimates c/round with their anytime bands and mean.
+func (r *Run) deriveCounts(f *frame) {
+	round := f.snap.Round
+	band := core.NewTheoremOneBand(round, r.spec.delta(), r.spec.c1())
+	ests := make([]float64, len(f.counts))
+	half := make([]float64, len(f.counts))
+	for i, c := range f.counts {
 		ests[i] = float64(c) / float64(round)
-		if wantCI {
-			half[i] = r.bandHalf(ests[i], round)
-		}
+		half[i] = bandHalf(band, ests[i])
 	}
-	return ests, half
+	f.snap.Estimates, f.snap.CIHalf, f.snap.Mean = ests, half, meanFinite(ests)
+}
+
+// bandHalf returns a running estimate's anytime confidence half-width
+// — the StreamingEstimator.Interval band shape, with the plug-in
+// density clamped to 1 — or +Inf before the agent's first collision.
+func bandHalf(band core.TheoremOneBand, est float64) float64 {
+	if est == 0 {
+		return math.Inf(1)
+	}
+	return band.Epsilon(min(est, 1)) * est
 }
 
 // baseResult starts a structured result carrying the run's identity.
@@ -523,11 +626,8 @@ func (r *Run) compileDensity() error {
 		return err
 	}
 	t := r.spec.Rounds
+	r.capture, r.derive = captureCounts(obs), r.deriveCounts
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		measure := func(round int, snap *Snapshot) {
-			snap.Estimates, snap.CIHalf = r.countEstimates(obs.Counts(), round, true)
-			snap.Mean = meanFinite(snap.Estimates)
-		}
 		var last int
 		// The audit detector rides after the estimator, so it reads the
 		// Tamperer's memoized per-round reports (see adversary.Detector).
@@ -535,9 +635,9 @@ func (r *Run) compileDensity() error {
 		if audit != nil {
 			pipeline = append(pipeline, audit)
 		}
-		pipeline = append(pipeline, r.publisher(t, measure, &last))
+		pipeline = append(pipeline, r.publisher(t, &last))
 		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.snapshotAt(last, t, measure) // exact final view, even mid-stride
+		r.publish(last, t) // exact final view, even mid-stride
 		if err != nil {
 			return Output{}, nil, err
 		}
@@ -565,15 +665,15 @@ func (r *Run) compileDensity() error {
 func (r *Run) compileIndependent() {
 	obs := core.NewIndependentObserver(r.numAgents)
 	t := r.spec.Rounds
+	r.capture = func(f *frame) {
+		f.snap.Estimates = obs.Estimates(f.snap.Round)
+		f.snap.Mean = meanFinite(f.snap.Estimates)
+	}
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		core.SetupAlgorithm4(r.world, r.spec.PolicySeed)
-		measure := func(round int, snap *Snapshot) {
-			snap.Estimates = obs.Estimates(round)
-			snap.Mean = meanFinite(snap.Estimates)
-		}
 		var last int
-		_, err := sim.RunContext(ctx, r.world, t, obs, r.publisher(t, measure, &last))
-		r.snapshotAt(last, t, measure)
+		_, err := sim.RunContext(ctx, r.world, t, obs, r.publisher(t, &last))
+		r.publish(last, t)
 		if err != nil {
 			return Output{}, nil, err
 		}
@@ -605,27 +705,28 @@ func (r *Run) compileProperty() error {
 		return err
 	}
 	t := r.spec.Rounds
+	r.capture = func(f *frame) {
+		f.snap.Estimates = obs.Result().Frequency
+		f.snap.Mean = meanFinite(f.snap.Estimates)
+	}
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		measure := func(round int, snap *Snapshot) {
-			snap.Estimates = obs.Result().Frequency
-			snap.Mean = meanFinite(snap.Estimates)
-		}
 		var last int
 		pipeline := []sim.Observer{obs}
 		if audit != nil {
 			pipeline = append(pipeline, audit)
 		}
-		pipeline = append(pipeline, r.publisher(t, measure, &last))
+		pipeline = append(pipeline, r.publisher(t, &last))
 		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.snapshotAt(last, t, measure)
+		r.publish(last, t)
 		if err != nil {
 			return Output{}, nil, err
 		}
 		pr := obs.Result()
 		res := r.baseResult("Section 5.2 property-frequency estimation")
 		series := res.AddSeries("agents", results.Cols("agent", "density", "property_density", "frequency")...)
-		for i := range pr.Density {
-			series.AddRow(i, pr.Density[i], pr.PropertyDensity[i], pr.Frequency[i])
+		for i, row := range series.AddRows(len(pr.Density)) {
+			row[0], row[1] = results.Int(int64(i)), results.Float(pr.Density[i])
+			row[2], row[3] = results.Float(pr.PropertyDensity[i]), results.Float(pr.Frequency[i])
 		}
 		res.SetMetric("rounds", float64(t))
 		res.SetMetric("num_agents", float64(r.numAgents))
@@ -654,24 +755,24 @@ func (r *Run) compileQuorum() error {
 		return err
 	}
 	t, threshold := r.spec.Rounds, r.spec.Threshold
-	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		measure := func(round int, snap *Snapshot) {
-			snap.Estimates, snap.CIHalf = r.countEstimates(obs.Counts(), round, true)
-			snap.Mean = meanFinite(snap.Estimates)
-			for _, e := range snap.Estimates {
-				if e >= threshold {
-					snap.YesVotes++
-				}
+	r.capture = captureCounts(obs)
+	r.derive = func(f *frame) {
+		r.deriveCounts(f)
+		for _, e := range f.snap.Estimates {
+			if e >= threshold {
+				f.snap.YesVotes++
 			}
 		}
+	}
+	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		var last int
 		pipeline := []sim.Observer{obs}
 		if audit != nil {
 			pipeline = append(pipeline, audit)
 		}
-		pipeline = append(pipeline, r.publisher(t, measure, &last))
+		pipeline = append(pipeline, r.publisher(t, &last))
 		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.snapshotAt(last, t, measure)
+		r.publish(last, t)
 		if err != nil {
 			return Output{}, nil, err
 		}
@@ -682,9 +783,10 @@ func (r *Run) compileQuorum() error {
 		votes := quorum.Votes(ests, threshold)
 		res := r.baseResult("Section 6.2 fixed-horizon quorum vote")
 		series := res.AddSeries("votes", results.Cols("agent", "estimate", "vote")...)
+		rows := series.AddRows(len(votes))
 		yes := 0
 		for i, v := range votes {
-			series.AddRow(i, ests[i], v)
+			rows[i][0], rows[i][1], rows[i][2] = results.Int(int64(i)), results.Float(ests[i]), results.Bool(v)
 			if v {
 				yes++
 			}
@@ -719,20 +821,20 @@ func (r *Run) compileAdaptiveQuorum() error {
 		det.SetReportFilter(tam.Filter())
 	}
 	maxRounds := r.spec.Rounds
-	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		measure := func(round int, snap *Snapshot) {
-			ests := make([]float64, r.numAgents)
-			half := make([]float64, r.numAgents)
-			for i := range ests {
-				ests[i], half[i] = det.Interval(i)
-				if det.Decision(i) == +1 {
-					snap.YesVotes++
-				}
+	r.capture = func(f *frame) {
+		ests := make([]float64, r.numAgents)
+		half := make([]float64, r.numAgents)
+		for i := range ests {
+			ests[i], half[i] = det.Interval(i)
+			if det.Decision(i) == +1 {
+				f.snap.YesVotes++
 			}
-			snap.Estimates, snap.CIHalf = ests, half
-			snap.Mean = meanFinite(ests)
-			snap.Decided = det.NumDecided()
 		}
+		f.snap.Estimates, f.snap.CIHalf = ests, half
+		f.snap.Mean = meanFinite(ests)
+		f.snap.Decided = det.NumDecided()
+	}
+	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		var last int
 		// The anytime detector observes first (it is the filter's first
 		// caller each round), then the audit, then the publisher.
@@ -740,20 +842,21 @@ func (r *Run) compileAdaptiveQuorum() error {
 		if audit != nil {
 			extra = append(extra, audit)
 		}
-		extra = append(extra, r.publisher(maxRounds, measure, &last))
+		extra = append(extra, r.publisher(maxRounds, &last))
 		ar, err := det.DecideContext(ctx, r.world, maxRounds, extra...)
 		// Early stop and cancellation both land between publication
 		// strides; republish the exact final view.
-		r.snapshotAt(last, maxRounds, measure)
+		r.publish(last, maxRounds)
 		if err != nil {
 			return Output{}, nil, err
 		}
 		res := r.baseResult("Section 6.2 anytime quorum decision")
 		series := res.AddSeries("decisions", results.Cols("agent", "decision", "stop_round")...)
+		rows := series.AddRows(len(ar.Decision))
 		yes, undecided := 0, 0
 		votes := make([]bool, len(ar.Decision))
 		for i, d := range ar.Decision {
-			series.AddRow(i, d, ar.StopRound[i])
+			rows[i][0], rows[i][1], rows[i][2] = results.Int(int64(i)), results.Int(int64(d)), results.Int(int64(ar.StopRound[i]))
 			votes[i] = d == +1
 			if d == +1 {
 				yes++
@@ -805,25 +908,13 @@ func (r *Run) compileNetsize() error {
 			if done%every != 0 && done != total {
 				return
 			}
-			r.publish(Snapshot{
-				State:     StateRunning,
-				Round:     done,
-				MaxRounds: total,
-				Progress:  float64(done) / float64(total),
-				NumAgents: s.Walkers,
-			})
+			r.publish(done, total)
 		}
 		nr, err := netsize.EstimateContext(ctx, s.Graph, cfg)
 		if err != nil {
 			if lastTotal > 0 {
 				// Cancelled between strides: record the true progress.
-				r.publish(Snapshot{
-					State:     StateRunning,
-					Round:     last,
-					MaxRounds: lastTotal,
-					Progress:  float64(last) / float64(lastTotal),
-					NumAgents: s.Walkers,
-				})
+				r.publish(last, lastTotal)
 			}
 			return Output{}, nil, err
 		}
@@ -843,8 +934,8 @@ func (r *Run) compileNetsize() error {
 // the density-family results.
 func (r *Run) addEstimateSeries(res *results.Result, ests []float64) {
 	series := res.AddSeries("estimates", results.Cols("agent", "estimate")...)
-	for i, e := range ests {
-		series.AddRow(i, e)
+	for i, row := range series.AddRows(len(ests)) {
+		row[0], row[1] = results.Int(int64(i)), results.Float(ests[i])
 	}
 }
 

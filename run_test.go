@@ -420,6 +420,92 @@ func TestRunSnapshotRace(t *testing.T) {
 	}
 }
 
+// TestRunSnapshotReadersEveryRound has several goroutines read the
+// snapshot after every publication while the run steps (the suite
+// runs under -race in CI): each reader sees rounds only move forward,
+// every snapshot is internally consistent, and readers that saw the
+// same round saw bit-identical values.
+func TestRunSnapshotReadersEveryRound(t *testing.T) {
+	const agents, rounds = 41, 2000
+	s := antdensity.QuorumSpec(0.1,
+		antdensity.WithGraph(topology.MustTorus(2, 20)),
+		antdensity.WithAgents(agents),
+		antdensity.WithSeed(8),
+		antdensity.WithRounds(rounds),
+	)
+	r, err := s.NewRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const readers = 4
+	seen := make([]map[int]antdensity.Snapshot, readers)
+	var wg sync.WaitGroup
+	for g := range seen {
+		seen[g] = map[int]antdensity.Snapshot{}
+		wg.Add(1)
+		go func(seen map[int]antdensity.Snapshot) {
+			defer wg.Done()
+			last := -1
+			for {
+				ch := r.Updated()
+				snap := r.Snapshot()
+				if snap.Round < last {
+					t.Errorf("snapshot round went backwards: %d after %d", snap.Round, last)
+					return
+				}
+				last = snap.Round
+				if snap.Round > 0 {
+					if len(snap.Estimates) != agents || len(snap.CIHalf) != agents {
+						t.Errorf("round %d: %d estimates, %d bands", snap.Round, len(snap.Estimates), len(snap.CIHalf))
+						return
+					}
+					yes := 0
+					for _, e := range snap.Estimates {
+						if e >= 0.1 {
+							yes++
+						}
+					}
+					if yes != snap.YesVotes {
+						t.Errorf("round %d: YesVotes %d, estimates say %d", snap.Round, snap.YesVotes, yes)
+						return
+					}
+				}
+				seen[snap.Round] = snap
+				if snap.State.Terminal() {
+					return
+				}
+				select {
+				case <-ch:
+				case <-r.Done():
+				}
+			}
+		}(seen[g])
+	}
+	if err := r.Start(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	for g := 1; g < readers; g++ {
+		for round, a := range seen[g] {
+			b, ok := seen[0][round]
+			if !ok || round == 0 {
+				continue
+			}
+			sameFloats(t, "estimates across readers", a.Estimates, b.Estimates)
+			sameFloats(t, "bands across readers", a.CIHalf, b.CIHalf)
+			if math.Float64bits(a.Mean) != math.Float64bits(b.Mean) || a.YesVotes != b.YesVotes {
+				t.Fatalf("round %d: readers disagree on mean or votes", round)
+			}
+		}
+	}
+	if final := r.Snapshot(); final.Round != rounds || final.State != antdensity.StateDone {
+		t.Fatalf("final snapshot = round %d, %v", final.Round, final.State)
+	}
+}
+
 // TestRunTerminalSnapshotFresh pins that a run which stops between
 // snapshot strides (adaptive early stop with SnapshotEvery > 1) still
 // reports its true final round in the terminal snapshot.

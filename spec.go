@@ -374,7 +374,9 @@ func WithStationary() SpecOption { return func(s *Spec) { s.Stationary = true } 
 func WithSeedVertex(v int64) SpecOption { return func(s *Spec) { s.SeedVertex = v } }
 
 // WithSnapshotEvery publishes live snapshots every k-th round instead
-// of every round; larger k lowers snapshot overhead on huge worlds.
+// of every round. Publishing a density or quorum round copies the
+// collision counts, and readers pay for deriving the rounds they
+// read; the other kinds compute their estimates when they publish.
 func WithSnapshotEvery(k int) SpecOption { return func(s *Spec) { s.SnapshotEvery = k } }
 
 // WithShards sets the run world's spatial shard count (0 = auto; see
