@@ -1,9 +1,10 @@
 package antdensity
 
-// This file is the library's public facade: the type aliases shared
-// by both API generations, plus the v1 one-shot wrappers, which are
-// now thin deprecated shims over the v2 Spec/Run layer (spec.go,
-// run.go, manager.go). The v2 way:
+// This file is the library's public facade: the topology
+// constructors, the streaming estimator and Theorem 1 horizon helpers,
+// and the type aliases the Spec/Run layer (spec.go, run.go,
+// manager.go) names in its outputs. Running an estimator always goes
+// through a Spec:
 //
 //	run, _ := antdensity.DensitySpec(
 //	        antdensity.WithTorus2D(200),
@@ -13,26 +14,17 @@ package antdensity
 //	).Start(ctx)
 //	snap := run.Snapshot()          // anytime, from any goroutine
 //	out, _ := run.Output()          // blocks; out.Estimates
-//
-// The v1 wrappers remain supported and produce bit-identical outputs
-// for fixed seeds (proven by the shim-equivalence tests); new code
-// should prefer Spec/Run, which adds cancellation, live snapshots,
-// and concurrent scheduling via Manager.
 
 import (
-	"context"
-	"fmt"
-
 	"antdensity/internal/core"
 	"antdensity/internal/netsize"
 	"antdensity/internal/quorum"
 	"antdensity/internal/rng"
-	"antdensity/internal/sim"
 	"antdensity/internal/topology"
 )
 
 // Graph is a finite undirected graph whose nodes are [0, NumNodes()).
-// All estimator functions accept any Graph.
+// A Spec accepts any Graph.
 type Graph = topology.Graph
 
 // Torus is the k-dimensional torus topology (the paper's grid model;
@@ -64,92 +56,9 @@ func NewRandomRegular(n int64, d int, seed uint64) (*topology.Adj, error) {
 	return topology.NewRandomRegular(n, d, rng.New(seed))
 }
 
-// World is the synchronous multi-agent simulation of the paper's
-// Section 2 model.
-type World = sim.World
-
-// WorldConfig configures a World.
-type WorldConfig = sim.Config
-
-// NewWorld creates a simulation world; see WorldConfig for the knobs
-// (graph, agent count, seed, placement, movement policy).
-func NewWorld(cfg WorldConfig) (*World, error) { return sim.NewWorld(cfg) }
-
-// EstimatorOption configures the estimators (noisy sensing, tagged
-// counting); see WithNoise and WithTaggedOnly.
-type EstimatorOption = core.Option
-
-// WithNoise models imperfect collision sensing (Section 6.1).
-func WithNoise(detectProb, spuriousProb float64, seed uint64) EstimatorOption {
-	return core.WithNoise(detectProb, spuriousProb, seed)
-}
-
-// WithTaggedOnly counts only collisions with tagged agents,
-// estimating a property density d_P (Section 5.2).
-func WithTaggedOnly() EstimatorOption { return core.WithTaggedOnly() }
-
-// runShim compiles and executes a Spec synchronously — the shared
-// engine behind the deprecated v1 wrappers. The Run never escapes, so
-// nobody can read intermediate snapshots: publication is throttled to
-// the terminal snapshot only, keeping the shims as cheap as the
-// pre-redesign one-shot paths (publication is purely observational
-// and cannot change outputs).
-func runShim(s *Spec) (Output, error) {
-	s.SnapshotEvery = 1 << 30
-	r, err := s.NewRun()
-	if err != nil {
-		return Output{}, err
-	}
-	if err := r.Start(context.Background()); err != nil {
-		return Output{}, err
-	}
-	return r.Output()
-}
-
-// EstimateDensity runs the paper's Algorithm 1 for t rounds on w and
-// returns each agent's density estimate c/t. Theorem 1 bounds the
-// error on the two-dimensional torus.
-//
-// Deprecated: use DensitySpec and Run for cancellation and live
-// snapshots; this wrapper produces bit-identical output.
-func EstimateDensity(w *World, t int, opts ...EstimatorOption) ([]float64, error) {
-	out, err := runShim(DensitySpec(WithWorld(w), WithRounds(t), WithEstimatorOptions(opts...)))
-	if err != nil {
-		return nil, err
-	}
-	return out.Estimates, nil
-}
-
-// EstimateDensityIndependent runs the Appendix A independent-sampling
-// baseline (Algorithm 4).
-//
-// Deprecated: use IndependentSpec and Run; this wrapper produces
-// bit-identical output.
-func EstimateDensityIndependent(w *World, t int, seed uint64) ([]float64, error) {
-	out, err := runShim(IndependentSpec(WithWorld(w), WithRounds(t), WithPolicySeed(seed)))
-	if err != nil {
-		return nil, err
-	}
-	return out.Estimates, nil
-}
-
-// PropertyResult is the per-agent output of EstimatePropertyFrequency.
+// PropertyResult is the per-agent output of a KindProperty run
+// (Output.Property).
 type PropertyResult = core.PropertyResult
-
-// EstimatePropertyFrequency implements the Section 5.2 swarm
-// computation of relative property frequency f_P = d_P/d. Tag agents
-// with w.SetTagged first.
-//
-// Deprecated: use PropertySpec (with WithTaggedCount or
-// WithTaggedAgents) and Run; this wrapper produces bit-identical
-// output.
-func EstimatePropertyFrequency(w *World, t int, opts ...EstimatorOption) (*PropertyResult, error) {
-	out, err := runShim(PropertySpec(WithWorld(w), WithRounds(t), WithEstimatorOptions(opts...)))
-	if err != nil {
-		return nil, err
-	}
-	return out.Property, nil
-}
 
 // StreamingEstimator is an incremental Algorithm 1 with anytime
 // confidence intervals and threshold decisions (Section 6.2).
@@ -170,79 +79,10 @@ func RequiredRounds(eps, delta, d, c2 float64) int {
 	return core.TheoremOneRounds(eps, delta, d, c2)
 }
 
-// QuorumDecide has each agent of w vote on whether the density
-// reaches threshold after t rounds of encounter counting (Section
-// 6.2).
-//
-// Deprecated: use QuorumSpec and Run; this wrapper produces
-// bit-identical output.
-func QuorumDecide(w *World, threshold float64, t int) ([]bool, error) {
-	out, err := runShim(QuorumSpec(threshold, WithWorld(w), WithRounds(t)))
-	if err != nil {
-		return nil, err
-	}
-	return out.Votes, nil
-}
-
-// QuorumAnytimeResult is the output of QuorumDecideAdaptive: per-agent
-// decisions and stopping rounds.
+// QuorumAnytimeResult is the output of a KindQuorumAdaptive run
+// (Output.Anytime): per-agent decisions and stopping rounds.
 type QuorumAnytimeResult = quorum.AnytimeResult
 
-// QuorumDecideAdaptive is the anytime counterpart of QuorumDecide:
-// every agent runs its own confidence band (with Theorem 1 constant
-// c1; see NewStreamingEstimator) and stops as soon as the band clears
-// the threshold in either direction, up to maxRounds (Section 6.2's
-// early-exit usage). The simulation stops stepping once all agents
-// have decided.
-// Deprecated: use AdaptiveQuorumSpec and Run; this wrapper produces
-// bit-identical output.
-func QuorumDecideAdaptive(w *World, threshold, delta, c1 float64, maxRounds int) (*QuorumAnytimeResult, error) {
-	if c1 <= 0 {
-		// Preserve the v1 contract: 0 is an error here, not a request
-		// for the v2 default.
-		return nil, fmt.Errorf("core: c1 must be positive, got %v", c1)
-	}
-	if delta == 0 {
-		return nil, fmt.Errorf("quorum: delta must be in (0, 1), got %v", delta)
-	}
-	s := AdaptiveQuorumSpec(threshold, WithWorld(w), WithRounds(maxRounds))
-	s.Delta, s.C1 = delta, c1
-	out, err := runShim(s)
-	if err != nil {
-		return nil, err
-	}
-	return out.Anytime, nil
-}
-
-// NetworkSizeConfig configures EstimateNetworkSize.
-type NetworkSizeConfig = netsize.Config
-
-// NetworkSizeResult is the output of EstimateNetworkSize.
+// NetworkSizeResult is the output of a KindNetworkSize run
+// (Output.NetworkSize).
 type NetworkSizeResult = netsize.Result
-
-// EstimateNetworkSize runs the Section 5.1 pipeline on g: burn-in,
-// average-degree estimation (Algorithm 3), then multi-round
-// degree-weighted collision counting (Algorithm 2, Theorem 27).
-//
-// Deprecated: use NetworkSizeSpec and Run; this wrapper produces
-// bit-identical output.
-func EstimateNetworkSize(g Graph, cfg NetworkSizeConfig) (*NetworkSizeResult, error) {
-	s := &Spec{
-		Kind:          KindNetworkSize,
-		Graph:         g,
-		Walkers:       cfg.Walkers,
-		Rounds:        cfg.Steps,
-		BurnIn:        cfg.BurnIn,
-		Delta:         cfg.Delta, // 0 keeps netsize's own 0.1 default
-		Seed:          cfg.Seed,
-		SeedVertex:    cfg.SeedVertex,
-		Stationary:    cfg.Stationary,
-		SnapshotEvery: 1,
-		netProgress:   cfg.Progress,
-	}
-	out, err := runShim(s)
-	if err != nil {
-		return nil, err
-	}
-	return out.NetworkSize, nil
-}

@@ -8,23 +8,19 @@ import (
 )
 
 // These tests exercise the public facade end to end, the way a
-// downstream user would.
+// downstream user would: topology constructors, then Spec -> Run.
 
 func TestFacadeDensityEstimation(t *testing.T) {
 	grid, err := antdensity.NewTorus2D(30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{
-		Graph: grid, NumAgents: 91, Seed: 7, // d = 0.1
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ests, err := antdensity.EstimateDensity(world, 2000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ests := runSpec(t, antdensity.DensitySpec(
+		antdensity.WithGraph(grid),
+		antdensity.WithAgents(91), // d = 0.1
+		antdensity.WithSeed(7),
+		antdensity.WithRounds(2000),
+	)).Estimates
 	if len(ests) != 91 {
 		t.Fatalf("got %d estimates", len(ests))
 	}
@@ -65,14 +61,13 @@ func TestFacadeIndependentSampling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{Graph: grid, NumAgents: 501, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ests, err := antdensity.EstimateDensityIndependent(world, 80, 9)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ests := runSpec(t, antdensity.IndependentSpec(
+		antdensity.WithGraph(grid),
+		antdensity.WithAgents(501),
+		antdensity.WithSeed(3),
+		antdensity.WithRounds(80),
+		antdensity.WithPolicySeed(9),
+	)).Estimates
 	if len(ests) != 501 {
 		t.Fatalf("got %d estimates", len(ests))
 	}
@@ -83,17 +78,13 @@ func TestFacadePropertyFrequency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{Graph: grid, NumAgents: 60, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 15; i++ {
-		world.SetTagged(i, true)
-	}
-	res, err := antdensity.EstimatePropertyFrequency(world, 500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, antdensity.PropertySpec(
+		antdensity.WithGraph(grid),
+		antdensity.WithAgents(60),
+		antdensity.WithSeed(5),
+		antdensity.WithRounds(500),
+		antdensity.WithTaggedCount(15),
+	)).Property
 	if len(res.Frequency) != 60 {
 		t.Fatalf("got %d frequencies", len(res.Frequency))
 	}
@@ -113,14 +104,12 @@ func TestFacadeStreamingAndQuorum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{Graph: grid, NumAgents: 80, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	votes, err := antdensity.QuorumDecide(world, 0.1, 800) // d ~ 0.35 >> 0.1
-	if err != nil {
-		t.Fatal(err)
-	}
+	votes := runSpec(t, antdensity.QuorumSpec(0.1, // d ~ 0.35 >> 0.1
+		antdensity.WithGraph(grid),
+		antdensity.WithAgents(80),
+		antdensity.WithSeed(11),
+		antdensity.WithRounds(800),
+	)).Votes
 	yes := 0
 	for _, v := range votes {
 		if v {
@@ -143,12 +132,13 @@ func TestFacadeNetworkSize(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := antdensity.EstimateNetworkSize(g, antdensity.NetworkSizeConfig{
-		Walkers: 40, Steps: 80, Stationary: true, Seed: 13,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runSpec(t, antdensity.NetworkSizeSpec(
+		antdensity.WithGraph(g),
+		antdensity.WithWalkers(40),
+		antdensity.WithRounds(80),
+		antdensity.WithStationary(),
+		antdensity.WithSeed(13),
+	)).NetworkSize
 	truth := float64(g.NumNodes())
 	if res.Size < truth/3 || res.Size > truth*3 {
 		t.Errorf("size estimate %v far from %v", res.Size, truth)

@@ -40,22 +40,6 @@ func BenchmarkRunDensity(b *testing.B) {
 	}
 }
 
-// BenchmarkRunDensitySnapshotEvery100 is the same run with snapshot
-// publication throttled, isolating the per-round snapshot cost.
-func BenchmarkRunDensitySnapshotEvery100(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		s := benchSpec(uint64(i))
-		s.SnapshotEvery = 100
-		r, err := s.Start(context.Background())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := r.Output(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // benchManager pushes `runs` small runs through a manager with the
 // given worker bound and waits for all of them.
 func benchManager(b *testing.B, workers, runs int) {

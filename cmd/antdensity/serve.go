@@ -266,8 +266,6 @@ type runRequest struct {
 	Stationary bool  `json:"stationary,omitempty"`
 	SeedVertex int64 `json:"seed_vertex,omitempty"`
 
-	SnapshotEvery int `json:"snapshot_every,omitempty"`
-
 	// Shards is the spatial shard count for the run's world (0 = auto,
 	// honoring the server's -shards default). Execution layout only:
 	// results and fingerprints are identical for any value, so sharded
@@ -430,9 +428,6 @@ func specFromRequest(req runRequest) (*antdensity.Spec, error) {
 	}
 	s.Stationary = req.Stationary
 	s.SeedVertex = req.SeedVertex
-	if req.SnapshotEvery != 0 {
-		s.SnapshotEvery = req.SnapshotEvery
-	}
 	s.Shards = req.Shards
 	return s, nil
 }

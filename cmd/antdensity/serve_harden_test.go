@@ -55,7 +55,6 @@ func TestServeSSEStream(t *testing.T) {
 		"graph": {"kind": "torus2d", "side": 20},
 		"agents": 21,
 		"rounds": 400000,
-		"snapshot_every": 500,
 		"seed": 3
 	}`)
 	resp, err := http.Get(srv.URL + "/v1/runs/" + snap.ID + "/events")
@@ -69,7 +68,10 @@ func TestServeSSEStream(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "text/event-stream" {
 		t.Fatalf("Content-Type = %q", ct)
 	}
-	events := readSSE(t, resp.Body, 5000)
+	// Every round is published, and the stream sends at most one
+	// snapshot per distinct (round, state): rounds 0..400000 running,
+	// the terminal view, and the end frame bound it.
+	events := readSSE(t, resp.Body, 400000+3)
 	if len(events) < 3 {
 		t.Fatalf("stream had only %d events: %+v", len(events), events)
 	}

@@ -38,9 +38,6 @@
 //     startup, so completed results survive restarts and interrupted
 //     runs are re-run under their original ids.
 //
-// The v1 one-shot wrappers (EstimateDensity and friends) remain as
-// deprecated shims over Spec/Run, bit-identical for fixed seeds.
-//
 // The implementation lives under internal/:
 //
 //   - internal/core — Algorithm 1 (encounter-rate estimation),

@@ -1,6 +1,7 @@
 package antdensity_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,47 +16,45 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{
-		Graph:     grid,
-		NumAgents: 251, // density d = 250/2500 = 0.1
-		Seed:      1,
-	})
+	run, err := antdensity.DensitySpec(
+		antdensity.WithGraph(grid),
+		antdensity.WithAgents(251), // density d = 250/2500 = 0.1
+		antdensity.WithSeed(1),
+		antdensity.WithRounds(5000),
+	).Start(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	estimates, err := antdensity.EstimateDensity(world, 5000)
+	res, err := run.Result()
 	if err != nil {
 		log.Fatal(err)
 	}
-	var sum float64
-	for _, e := range estimates {
-		sum += e
-	}
-	mean := sum / float64(len(estimates))
-	fmt.Printf("true density: %.2f\n", world.Density())
+	density, _ := res.Metric("true_density")
+	mean, _ := res.Metric("mean_estimate")
+	fmt.Printf("true density: %.2f\n", density)
 	fmt.Printf("mean estimate within 10%%: %v\n", mean > 0.09 && mean < 0.11)
 	// Output:
 	// true density: 0.10
 	// mean estimate within 10%: true
 }
 
-// ExampleQuorumDecide shows threshold detection: agents vote on
+// ExampleQuorumSpec shows threshold detection: agents vote on
 // whether the local density exceeds a quorum level.
-func ExampleQuorumDecide() {
-	grid, err := antdensity.NewTorus2D(20)
+func ExampleQuorumSpec() {
+	run, err := antdensity.QuorumSpec(0.1, // theta = 0.1
+		antdensity.WithTorus2D(20),
+		antdensity.WithAgents(121), // d = 0.3
+		antdensity.WithSeed(4),
+		antdensity.WithRounds(2000),
+	).Start(context.Background())
 	if err != nil {
 		log.Fatal(err)
 	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{
-		Graph: grid, NumAgents: 121, Seed: 4, // d = 0.3
-	})
+	out, err := run.Output()
 	if err != nil {
 		log.Fatal(err)
 	}
-	votes, err := antdensity.QuorumDecide(world, 0.1, 2000) // theta = 0.1
-	if err != nil {
-		log.Fatal(err)
-	}
+	votes := out.Votes
 	yes := 0
 	for _, v := range votes {
 		if v {

@@ -1,5 +1,5 @@
 // Quickstart: estimate population density on a two-dimensional torus
-// with the paper's Algorithm 1, through the v2 Spec/Run API.
+// with the paper's Algorithm 1, through the Spec/Run API.
 //
 // A colony of 2001 agents random-walks on a 200x200 torus (density
 // d = 2000/40000 = 0.05). Each agent counts collisions for t rounds
@@ -33,7 +33,7 @@ func main() {
 		delta  = 0.05
 	)
 
-	// v2: declare the run, start it under a cancellable context, and
+	// Declare the run, start it under a cancellable context, and
 	// watch it mid-flight.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -77,25 +77,4 @@ func main() {
 	fails := stats.FailureRate(estimates, d, eps)
 	fmt.Printf("Theorem 1 eps:         %.3f (c1 = 0.35, delta = %.2f)\n", eps, delta)
 	fmt.Printf("agents outside band:   %.1f%% (paper predicts <= %.0f%%)\n", 100*fails, 100*delta)
-
-	// The deprecated v1 wrapper remains supported and bit-identical:
-	// the same graph, agent count, and seed produce the same
-	// estimates through the legacy one-shot path.
-	grid, err := antdensity.NewTorus2D(side)
-	if err != nil {
-		log.Fatal(err)
-	}
-	world, err := antdensity.NewWorld(antdensity.WorldConfig{Graph: grid, NumAgents: agents, Seed: 42})
-	if err != nil {
-		log.Fatal(err)
-	}
-	legacy, err := antdensity.EstimateDensity(world, rounds) // v1 path
-	if err != nil {
-		log.Fatal(err)
-	}
-	identical := len(legacy) == len(estimates)
-	for i := range legacy {
-		identical = identical && legacy[i] == estimates[i]
-	}
-	fmt.Printf("v1 shim bit-identical: %v\n", identical)
 }

@@ -15,13 +15,13 @@ type Spec struct {
 	GraphKey string
 	Delta    float64
 
-	SnapshotEvery int
-	progress      func(int)
+	LogEvery int
+	progress func(int)
 }
 
 var fingerprintExcluded = []string{
-	"SnapshotEvery", // observational throttle
-	"progress",      // callback, never feeds a result
+	"LogEvery", // observational logging cadence
+	"progress", // callback, never feeds a result
 }
 
 func (s *Spec) Fingerprint() string {

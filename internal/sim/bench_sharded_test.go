@@ -82,22 +82,30 @@ func BenchmarkWorldStepCountSharded(b *testing.B) {
 }
 
 // shardScalingReport is the JSON written by TestShardScaling (the CI
-// shard-scaling gate): wall-clock per round for the flat serial world
-// and the 4-shard 4-worker world, with the benchenv block making
-// oversubscribed numbers machine-detectable.
+// shard-scaling gate): wall-clock per round for the flat serial world,
+// the 4-shard 4-worker world, and (report-only) the flat world forced
+// onto the dense index stepped by 4 workers, with the benchenv block
+// making oversubscribed numbers machine-detectable.
 type shardScalingReport struct {
-	Env        benchenv.Env `json:"env"`
-	Graph      string       `json:"graph"`
-	Agents     int          `json:"agents"`
-	Rounds     int          `json:"rounds"`
-	FlatNsOp   int64        `json:"flat_ns_per_round"`
-	Shard4NsOp int64        `json:"shards4_ns_per_round"`
-	Speedup    float64      `json:"speedup"`
+	Env               benchenv.Env `json:"env"`
+	Graph             string       `json:"graph"`
+	Agents            int          `json:"agents"`
+	Rounds            int          `json:"rounds"`
+	FlatNsOp          int64        `json:"flat_ns_per_round"`
+	Shard4NsOp        int64        `json:"shards4_ns_per_round"`
+	FlatDensePar4NsOp int64        `json:"flat_dense_par4_ns_per_round"`
+	Speedup           float64      `json:"speedup"`
 }
 
 // TestShardScaling is the CI multi-core regression gate: on a runner
 // with >= 4 CPUs, a 1M-agent 4096×4096 torus stepped as 4 shards by 4
-// workers must beat the flat serial world. Gated behind SHARD_SCALING=1
+// workers must beat the flat serial world. It also times a flat world
+// forced onto the dense index at StepParallel(4) — the index the 4
+// shards get, at equal parallelism — and reports it without gating,
+// so the report shows whether partitioning beats a flat world with
+// as many workers. Every arm times stepping only: no arm queries
+// counts, so no arm maintains an occupancy index. Gated behind
+// SHARD_SCALING=1
 // because wall-clock assertions are meaningless on loaded or
 // single-core machines (the dev container has one CPU); CI runs it on
 // the multi-core runner. SHARD_SCALING_OUT names a JSON report path.
@@ -111,8 +119,8 @@ func TestShardScaling(t *testing.T) {
 	g := topology.MustTorus(2, 4096)
 	const agents = 1 << 20
 	const rounds = 40
-	measure := func(shards, workers int) time.Duration {
-		w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 1, Shards: shards})
+	measure := func(shards, workers int, occ OccupancyIndex) time.Duration {
+		w := MustWorld(Config{Graph: g, NumAgents: agents, Seed: 1, Shards: shards, Occupancy: occ})
 		defer w.Close()
 		best := time.Duration(0)
 		for rep := 0; rep < 3; rep++ {
@@ -129,20 +137,22 @@ func TestShardScaling(t *testing.T) {
 		}
 		return best
 	}
-	flat := measure(1, 1)
-	sharded := measure(4, 4)
+	flat := measure(1, 1, OccAuto)
+	sharded := measure(4, 4, OccAuto)
+	flatDense := measure(1, 4, OccDense)
 	speedup := float64(flat) / float64(sharded)
-	t.Logf("flat serial: %v/round, shards=4 workers=4: %v/round, speedup %.2fx",
-		flat/rounds, sharded/rounds, speedup)
+	t.Logf("flat serial: %v/round, shards=4 workers=4: %v/round, speedup %.2fx; flat dense workers=4: %v/round",
+		flat/rounds, sharded/rounds, speedup, flatDense/rounds)
 	if out := os.Getenv("SHARD_SCALING_OUT"); out != "" {
 		rep := shardScalingReport{
-			Env:        benchenv.Capture(),
-			Graph:      "torus2d-4096",
-			Agents:     agents,
-			Rounds:     rounds,
-			FlatNsOp:   flat.Nanoseconds() / rounds,
-			Shard4NsOp: sharded.Nanoseconds() / rounds,
-			Speedup:    speedup,
+			Env:               benchenv.Capture(),
+			Graph:             "torus2d-4096",
+			Agents:            agents,
+			Rounds:            rounds,
+			FlatNsOp:          flat.Nanoseconds() / rounds,
+			Shard4NsOp:        sharded.Nanoseconds() / rounds,
+			FlatDensePar4NsOp: flatDense.Nanoseconds() / rounds,
+			Speedup:           speedup,
 		}
 		b, err := json.MarshalIndent(&rep, "", "  ")
 		if err != nil {

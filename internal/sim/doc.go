@@ -42,12 +42,11 @@
 // so no two workers write the same cache line (no false sharing).
 // Chunk boundaries never affect results, by the determinism
 // invariant. Tiny worlds skip the pool entirely: when the agent count
-// is below Config.ParallelMinAgents per requested worker (default 2,
-// i.e. any world with fewer than 2×workers agents), StepParallel
-// falls back to the serial path, because handing a handful of agents
-// to a goroutine pool costs more in synchronization than the work is
-// worth. The threshold only selects an execution path — results are
-// identical either way.
+// is below 2 per requested worker (any world with fewer than
+// 2×workers agents), StepParallel falls back to the serial path,
+// because handing a handful of agents to a goroutine pool costs more
+// in synchronization than the work is worth. The threshold only
+// selects an execution path — results are identical either way.
 //
 // # Spatial sharding (Config.Shards)
 //

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"antdensity/internal/rng"
@@ -264,5 +266,45 @@ func TestWorldExplicitStateConfig(t *testing.T) {
 	// Out-of-range explicit positions are rejected.
 	if _, err := NewWorld(Config{Graph: g, NumAgents: 1, Positions: []int64{g.NumNodes()}, Streams: make([]rng.Stream, 1)}); err == nil {
 		t.Error("out-of-range Positions accepted")
+	}
+}
+
+// TestRunContextResumesAfterCancel pins RunContext's cancellation
+// contract: a run cancelled mid-way stops on a round boundary with the
+// context's error and leaves the world resumable, so a later run steps
+// on from where it stopped — landing bit-identically where an
+// uninterrupted run of the same total length does.
+func TestRunContextResumesAfterCancel(t *testing.T) {
+	g := topology.MustTorus(2, 20)
+	w := MustWorld(Config{Graph: g, NumAgents: 41, Seed: 2})
+	const cancelAt, more = 7, 10
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	canceller := ObserverFunc(func(r *Round) Signal {
+		if r.Index() == cancelAt {
+			cancel()
+		}
+		return Continue
+	})
+	done, err := RunContext(ctx, w, 1000, canceller)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunContext error = %v, want context.Canceled", err)
+	}
+	if done != cancelAt || w.Round() != cancelAt {
+		t.Fatalf("cancelled run reports %d rounds, world at %d, want %d", done, w.Round(), cancelAt)
+	}
+	acc := &countAccumulator{totals: make([]int64, 41)}
+	if got := Run(w, more, acc); got != more || acc.rounds != more {
+		t.Fatalf("resumed run executed %d rounds (%d observed), want %d", got, acc.rounds, more)
+	}
+	if got := w.Round(); got != cancelAt+more {
+		t.Fatalf("world rounds = %d, want %d", got, cancelAt+more)
+	}
+	twin := MustWorld(Config{Graph: g, NumAgents: 41, Seed: 2})
+	Run(twin, cancelAt+more)
+	for i := 0; i < 41; i++ {
+		if w.Pos(i) != twin.Pos(i) {
+			t.Fatalf("agent %d at %d after resume, uninterrupted twin at %d", i, w.Pos(i), twin.Pos(i))
+		}
 	}
 }

@@ -191,29 +191,24 @@ func TestShardedRunner(t *testing.T) {
 	}
 }
 
-// TestShardedParallelMinAgents pins the exported fallback rule on flat
-// worlds: with ParallelMinAgents = m, StepParallel(k) runs serially
-// (no pool) when agents < m*k and in parallel otherwise.
-func TestShardedParallelMinAgents(t *testing.T) {
+// TestStepParallelSerialFallback pins the fixed fallback rule on flat
+// worlds: StepParallel(k) steps serially and builds no pool when the
+// world has fewer than 2 agents per worker, and uses the pool from 2
+// agents per worker up.
+func TestStepParallelSerialFallback(t *testing.T) {
 	g := topology.MustTorus(2, 16)
-	w := MustWorld(Config{Graph: g, NumAgents: 100, Seed: 3, ParallelMinAgents: 60})
-	w.StepParallel(2) // 100 < 60*2: serial fallback
+	w := MustWorld(Config{Graph: g, NumAgents: 7, Seed: 3})
+	w.StepParallel(4) // 7 < 2*4: serial fallback
 	if w.pool != nil {
-		t.Error("StepParallel below the ParallelMinAgents threshold built a pool")
+		t.Error("StepParallel with fewer than 2 agents per worker built a pool")
 	}
-	big := MustWorld(Config{Graph: g, NumAgents: 120, Seed: 3, ParallelMinAgents: 60})
-	defer big.Close()
-	big.StepParallel(2) // 120 >= 60*2: parallel
-	if big.pool == nil {
-		t.Error("StepParallel above the threshold stayed serial")
+	if w.Round() != 1 {
+		t.Errorf("serial fallback stepped %d rounds, want 1", w.Round())
 	}
-	// Default keeps the historical rule: < 2 agents per worker.
-	def := MustWorld(Config{Graph: g, NumAgents: 7, Seed: 3})
-	def.StepParallel(4) // 7 < 2*4
-	if def.pool != nil {
-		t.Error("default threshold (2 agents/worker) did not fall back")
-	}
-	if _, err := NewWorld(Config{Graph: g, NumAgents: 5, Seed: 1, ParallelMinAgents: -2}); err == nil {
-		t.Error("negative ParallelMinAgents should error")
+	edge := MustWorld(Config{Graph: g, NumAgents: 8, Seed: 3})
+	defer edge.Close()
+	edge.StepParallel(4) // 8 >= 2*4: parallel
+	if edge.pool == nil {
+		t.Error("StepParallel with 2 agents per worker stayed serial")
 	}
 }

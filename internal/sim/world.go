@@ -99,19 +99,14 @@ type Config struct {
 	// every shard count — sharding changes execution layout, never
 	// output.
 	Shards int
-	// ParallelMinAgents is the minimum number of agents per worker
-	// below which StepParallel falls back to the serial path (the
-	// per-worker wake/wait overhead exceeds the work). The zero value
-	// means DefaultParallelMinAgents. Sharded worlds ignore it: their
-	// parallel grain is the shard, fixed at construction.
-	ParallelMinAgents int
 }
 
-// DefaultParallelMinAgents is the default StepParallel serial-fallback
-// threshold: fewer than this many agents per requested worker and the
-// round runs serially. The value keeps the historical rule
-// (len(agents) < 2*workers falls back).
-const DefaultParallelMinAgents = 2
+// parallelMinAgents is the StepParallel serial-fallback threshold on
+// flat worlds: with fewer than this many agents per requested worker
+// the per-worker wake/wait overhead exceeds the work, so the round
+// runs serially. Sharded worlds ignore it: their parallel grain is the
+// shard, fixed at construction.
+const parallelMinAgents = 2
 
 // World is a synchronous multi-agent simulation. It tracks agent
 // positions, steps all agents once per round, and serves the model's
@@ -134,8 +129,6 @@ type World struct {
 	// authoritative hot state and occupancy, and the embedded hotState
 	// keeps only pos as an id-indexed position mirror.
 	sh *shardedState
-	// parallelMin is the resolved Config.ParallelMinAgents.
-	parallelMin int
 }
 
 type cell struct {
@@ -166,9 +159,6 @@ func NewWorld(cfg Config) (*World, error) {
 	if cfg.Streams != nil && len(cfg.Streams) != cfg.NumAgents {
 		return nil, fmt.Errorf("sim: Config.Streams has %d entries for %d agents", len(cfg.Streams), cfg.NumAgents)
 	}
-	if cfg.ParallelMinAgents < 0 {
-		return nil, fmt.Errorf("sim: Config.ParallelMinAgents must be >= 0, got %d", cfg.ParallelMinAgents)
-	}
 	placement := cfg.Placement
 	if placement == nil {
 		placement = UniformPlacement
@@ -194,10 +184,6 @@ func NewWorld(cfg Config) (*World, error) {
 			part = p
 		}
 	}
-	parallelMin := cfg.ParallelMinAgents
-	if parallelMin == 0 {
-		parallelMin = DefaultParallelMinAgents
-	}
 	root := rng.New(cfg.Seed)
 	w := &World{
 		graph:   cfg.Graph,
@@ -207,10 +193,9 @@ func NewWorld(cfg Config) (*World, error) {
 			prev:    make([]int64, cfg.NumAgents),
 			streams: make([]rng.Stream, cfg.NumAgents),
 		},
-		tagged:      make([]bool, cfg.NumAgents),
-		groups:      make([]int32, cfg.NumAgents),
-		numGroup:    make(map[int32]int),
-		parallelMin: parallelMin,
+		tagged:   make([]bool, cfg.NumAgents),
+		groups:   make([]int32, cfg.NumAgents),
+		numGroup: make(map[int32]int),
 	}
 	if err := w.initOcc(cfg.Occupancy, cfg.NumAgents, part); err != nil {
 		return nil, err
@@ -386,7 +371,7 @@ func (w *World) Step() {
 // use it for worlds with hundreds of thousands of agents. On a
 // sharded world, workers range over shards (each phase of the round
 // splits its shards across the pool). On a flat world, workers < 2 or
-// fewer than ParallelMinAgents agents per worker falls back to the
+// fewer than 2 agents per worker (parallelMinAgents) falls back to the
 // serial path.
 //antlint:noalloc
 func (w *World) StepParallel(workers int) {
@@ -394,7 +379,7 @@ func (w *World) StepParallel(workers int) {
 		w.stepSharded(workers)
 		return
 	}
-	if workers < 2 || len(w.pos) < w.parallelMin*workers {
+	if workers < 2 || len(w.pos) < parallelMinAgents*workers {
 		w.Step()
 		return
 	}

@@ -201,9 +201,7 @@ func TestManagerSubmitWithIDAndSeqBase(t *testing.T) {
 // streams from: every wait returns, snapshots only move forward, and
 // the terminal state wakes watchers.
 func TestRunUpdated(t *testing.T) {
-	s := quickSpec(5)
-	s.SnapshotEvery = 10
-	run, err := s.NewRun()
+	run, err := quickSpec(5).NewRun()
 	if err != nil {
 		t.Fatal(err)
 	}

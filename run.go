@@ -140,7 +140,7 @@ type Output struct {
 // Output / Result. A Run executes exactly once; it is not reusable.
 type Run struct {
 	spec      *Spec
-	world     *World // nil for netsize
+	world     *sim.World // nil for netsize
 	numAgents int
 	exec      func(ctx context.Context) (Output, *results.Result, error)
 
@@ -514,19 +514,14 @@ func (r *Run) Updated() <-chan struct{} {
 	}
 }
 
-// publisher returns a pipeline observer that publishes every
-// SnapshotEvery rounds (and on the final round of a full-length run),
-// recording every observed round in *last so the engine can republish
-// an exact final frame when the run stops between strides (early stop
-// or cancellation).
-func (r *Run) publisher(maxRounds int, last *int) sim.Observer {
-	every := r.spec.snapshotEvery()
+// publisher returns a pipeline observer that publishes every observed
+// round. It never stops, so the runner hands it every round the world
+// executes: the last published frame is always the run's true final
+// round, whether the run ends at the horizon, stops early, or is
+// cancelled.
+func (r *Run) publisher(maxRounds int) sim.Observer {
 	return sim.ObserverFunc(func(rd *sim.Round) sim.Signal {
-		round := rd.Index()
-		*last = round
-		if round%every == 0 || round == maxRounds {
-			r.publish(round, maxRounds)
-		}
+		r.publish(rd.Index(), maxRounds)
 		return sim.Continue
 	})
 }
@@ -628,17 +623,14 @@ func (r *Run) compileDensity() error {
 	t := r.spec.Rounds
 	r.capture, r.derive = captureCounts(obs), r.deriveCounts
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		var last int
 		// The audit detector rides after the estimator, so it reads the
 		// Tamperer's memoized per-round reports (see adversary.Detector).
 		pipeline := []sim.Observer{obs}
 		if audit != nil {
 			pipeline = append(pipeline, audit)
 		}
-		pipeline = append(pipeline, r.publisher(t, &last))
-		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.publish(last, t) // exact final view, even mid-stride
-		if err != nil {
+		pipeline = append(pipeline, r.publisher(t))
+		if _, err := sim.RunContext(ctx, r.world, t, pipeline...); err != nil {
 			return Output{}, nil, err
 		}
 		// Divide by the requested horizon t (== rounds executed on
@@ -671,10 +663,7 @@ func (r *Run) compileIndependent() {
 	}
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
 		core.SetupAlgorithm4(r.world, r.spec.PolicySeed)
-		var last int
-		_, err := sim.RunContext(ctx, r.world, t, obs, r.publisher(t, &last))
-		r.publish(last, t)
-		if err != nil {
+		if _, err := sim.RunContext(ctx, r.world, t, obs, r.publisher(t)); err != nil {
 			return Output{}, nil, err
 		}
 		ests := obs.Estimates(t)
@@ -710,15 +699,12 @@ func (r *Run) compileProperty() error {
 		f.snap.Mean = meanFinite(f.snap.Estimates)
 	}
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		var last int
 		pipeline := []sim.Observer{obs}
 		if audit != nil {
 			pipeline = append(pipeline, audit)
 		}
-		pipeline = append(pipeline, r.publisher(t, &last))
-		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.publish(last, t)
-		if err != nil {
+		pipeline = append(pipeline, r.publisher(t))
+		if _, err := sim.RunContext(ctx, r.world, t, pipeline...); err != nil {
 			return Output{}, nil, err
 		}
 		pr := obs.Result()
@@ -765,15 +751,12 @@ func (r *Run) compileQuorum() error {
 		}
 	}
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		var last int
 		pipeline := []sim.Observer{obs}
 		if audit != nil {
 			pipeline = append(pipeline, audit)
 		}
-		pipeline = append(pipeline, r.publisher(t, &last))
-		_, err := sim.RunContext(ctx, r.world, t, pipeline...)
-		r.publish(last, t)
-		if err != nil {
+		pipeline = append(pipeline, r.publisher(t))
+		if _, err := sim.RunContext(ctx, r.world, t, pipeline...); err != nil {
 			return Output{}, nil, err
 		}
 		ests := make([]float64, r.numAgents)
@@ -835,18 +818,14 @@ func (r *Run) compileAdaptiveQuorum() error {
 		f.snap.Decided = det.NumDecided()
 	}
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		var last int
 		// The anytime detector observes first (it is the filter's first
 		// caller each round), then the audit, then the publisher.
 		extra := []sim.Observer{}
 		if audit != nil {
 			extra = append(extra, audit)
 		}
-		extra = append(extra, r.publisher(maxRounds, &last))
+		extra = append(extra, r.publisher(maxRounds))
 		ar, err := det.DecideContext(ctx, r.world, maxRounds, extra...)
-		// Early stop and cancellation both land between publication
-		// strides; republish the exact final view.
-		r.publish(last, maxRounds)
 		if err != nil {
 			return Output{}, nil, err
 		}
@@ -898,24 +877,9 @@ func (r *Run) compileNetsize() error {
 		Stationary: s.Stationary,
 	}
 	r.exec = func(ctx context.Context) (Output, *results.Result, error) {
-		every := s.snapshotEvery()
-		var last, lastTotal int
-		cfg.Progress = func(done, total int) {
-			if s.netProgress != nil {
-				s.netProgress(done, total)
-			}
-			last, lastTotal = done, total
-			if done%every != 0 && done != total {
-				return
-			}
-			r.publish(done, total)
-		}
+		cfg.Progress = r.publish
 		nr, err := netsize.EstimateContext(ctx, s.Graph, cfg)
 		if err != nil {
-			if lastTotal > 0 {
-				// Cancelled between strides: record the true progress.
-				r.publish(last, lastTotal)
-			}
 			return Output{}, nil, err
 		}
 		res := r.baseResult("Section 5.1 network-size estimation")

@@ -61,18 +61,14 @@ func runSpec(t *testing.T, s *antdensity.Spec) antdensity.Output {
 	return out
 }
 
-// The shim-vs-Spec equivalence tests: for every estimator, the
-// pre-redesign internal path, the deprecated v1 wrapper, and an
-// explicit v2 Spec run must produce bit-identical outputs for a fixed
-// seed.
+// The spec-vs-direct equivalence tests: for every estimator, the
+// internal algorithm driven directly on a world and a Spec run on the
+// same graph, agent count, and seed must produce bit-identical
+// outputs.
 
-func TestShimEquivalenceDensity(t *testing.T) {
+func TestSpecEquivalenceDensity(t *testing.T) {
 	const agents, rounds, seed = 41, 400, 7
 	direct, err := core.Algorithm1(newTestWorld(t, agents, seed), rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := antdensity.EstimateDensity(newTestWorld(t, agents, seed), rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,18 +78,12 @@ func TestShimEquivalenceDensity(t *testing.T) {
 		antdensity.WithSeed(seed),
 		antdensity.WithRounds(rounds),
 	))
-	sameFloats(t, "shim vs direct", shim, direct)
 	sameFloats(t, "spec vs direct", out.Estimates, direct)
 }
 
-func TestShimEquivalenceDensityNoisy(t *testing.T) {
+func TestSpecEquivalenceDensityNoisy(t *testing.T) {
 	const agents, rounds, seed = 41, 400, 7
 	direct, err := core.Algorithm1(newTestWorld(t, agents, seed), rounds, core.WithNoise(0.8, 0.02, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := antdensity.EstimateDensity(newTestWorld(t, agents, seed), rounds,
-		antdensity.WithNoise(0.8, 0.02, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,17 +94,12 @@ func TestShimEquivalenceDensityNoisy(t *testing.T) {
 		antdensity.WithRounds(rounds),
 		antdensity.WithSensingNoise(0.8, 0.02, 11),
 	))
-	sameFloats(t, "shim vs direct", shim, direct)
 	sameFloats(t, "spec vs direct", out.Estimates, direct)
 }
 
-func TestShimEquivalenceIndependent(t *testing.T) {
+func TestSpecEquivalenceIndependent(t *testing.T) {
 	const agents, rounds, seed, policySeed = 51, 120, 5, 13
 	direct, err := core.Algorithm4(newTestWorld(t, agents, seed), rounds, policySeed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := antdensity.EstimateDensityIndependent(newTestWorld(t, agents, seed), rounds, policySeed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,25 +110,16 @@ func TestShimEquivalenceIndependent(t *testing.T) {
 		antdensity.WithRounds(rounds),
 		antdensity.WithPolicySeed(policySeed),
 	))
-	sameFloats(t, "shim vs direct", shim, direct)
 	sameFloats(t, "spec vs direct", out.Estimates, direct)
 }
 
-func TestShimEquivalenceProperty(t *testing.T) {
+func TestSpecEquivalenceProperty(t *testing.T) {
 	const agents, rounds, seed, tagged = 60, 300, 9, 15
 	wd := newTestWorld(t, agents, seed)
 	for i := 0; i < tagged; i++ {
 		wd.SetTagged(i, true)
 	}
 	direct, err := core.PropertyFrequency(wd, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ws := newTestWorld(t, agents, seed)
-	for i := 0; i < tagged; i++ {
-		ws.SetTagged(i, true)
-	}
-	shim, err := antdensity.EstimatePropertyFrequency(ws, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,22 +130,15 @@ func TestShimEquivalenceProperty(t *testing.T) {
 		antdensity.WithRounds(rounds),
 		antdensity.WithTaggedCount(tagged),
 	))
-	sameFloats(t, "shim density", shim.Density, direct.Density)
-	sameFloats(t, "shim property density", shim.PropertyDensity, direct.PropertyDensity)
-	sameFloats(t, "shim frequency", shim.Frequency, direct.Frequency)
 	sameFloats(t, "spec density", out.Property.Density, direct.Density)
 	sameFloats(t, "spec property density", out.Property.PropertyDensity, direct.PropertyDensity)
 	sameFloats(t, "spec frequency", out.Property.Frequency, direct.Frequency)
 }
 
-func TestShimEquivalenceQuorum(t *testing.T) {
+func TestSpecEquivalenceQuorum(t *testing.T) {
 	const agents, rounds, seed = 46, 500, 3
 	const threshold = 0.1
 	direct, err := quorum.Decide(newTestWorld(t, agents, seed), threshold, rounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := antdensity.QuorumDecide(newTestWorld(t, agents, seed), threshold, rounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,24 +148,20 @@ func TestShimEquivalenceQuorum(t *testing.T) {
 		antdensity.WithSeed(seed),
 		antdensity.WithRounds(rounds),
 	))
+	if len(out.Votes) != len(direct) {
+		t.Fatalf("spec votes = %d, want %d", len(out.Votes), len(direct))
+	}
 	for i := range direct {
-		if shim[i] != direct[i] {
-			t.Fatalf("shim vote[%d] = %v, want %v", i, shim[i], direct[i])
-		}
 		if out.Votes[i] != direct[i] {
 			t.Fatalf("spec vote[%d] = %v, want %v", i, out.Votes[i], direct[i])
 		}
 	}
 }
 
-func TestShimEquivalenceAdaptiveQuorum(t *testing.T) {
+func TestSpecEquivalenceAdaptiveQuorum(t *testing.T) {
 	const agents, maxRounds, seed = 91, 4000, 3
 	const threshold, delta, c1 = 0.1, 0.05, 0.6
 	direct, err := quorum.AnytimeDecide(newTestWorld(t, agents, seed), threshold, delta, c1, maxRounds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	shim, err := antdensity.QuorumDecideAdaptive(newTestWorld(t, agents, seed), threshold, delta, c1, maxRounds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,54 +173,53 @@ func TestShimEquivalenceAdaptiveQuorum(t *testing.T) {
 		antdensity.WithConfidence(delta),
 		antdensity.WithBandConstant(c1),
 	)
-	out := runSpec(t, s)
-	for _, got := range []*antdensity.QuorumAnytimeResult{shim, out.Anytime} {
-		if got.Rounds != direct.Rounds {
-			t.Fatalf("rounds = %d, want %d", got.Rounds, direct.Rounds)
-		}
-		for i := range direct.Decision {
-			if got.Decision[i] != direct.Decision[i] || got.StopRound[i] != direct.StopRound[i] {
-				t.Fatalf("agent %d: decision/stop = %d/%d, want %d/%d",
-					i, got.Decision[i], got.StopRound[i], direct.Decision[i], direct.StopRound[i])
-			}
+	got := runSpec(t, s).Anytime
+	if got.Rounds != direct.Rounds {
+		t.Fatalf("rounds = %d, want %d", got.Rounds, direct.Rounds)
+	}
+	for i := range direct.Decision {
+		if got.Decision[i] != direct.Decision[i] || got.StopRound[i] != direct.StopRound[i] {
+			t.Fatalf("agent %d: decision/stop = %d/%d, want %d/%d",
+				i, got.Decision[i], got.StopRound[i], direct.Decision[i], direct.StopRound[i])
 		}
 	}
 }
 
-func TestShimEquivalenceNetworkSize(t *testing.T) {
+func TestSpecEquivalenceNetworkSize(t *testing.T) {
 	g := topology.MustTorus(3, 7) // odd side: non-bipartite
 	cfg := netsize.Config{Walkers: 40, Steps: 80, Stationary: true, Seed: 13}
 	direct, err := netsize.Estimate(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shim, err := antdensity.EstimateNetworkSize(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := runSpec(t, antdensity.NetworkSizeSpec(
+	got := runSpec(t, antdensity.NetworkSizeSpec(
 		antdensity.WithGraph(g),
 		antdensity.WithWalkers(40),
 		antdensity.WithRounds(80),
 		antdensity.WithStationary(),
 		antdensity.WithSeed(13),
-	))
-	for name, got := range map[string]*antdensity.NetworkSizeResult{"shim": shim, "spec": out.NetworkSize} {
-		if math.Float64bits(got.Size) != math.Float64bits(direct.Size) ||
-			math.Float64bits(got.C) != math.Float64bits(direct.C) ||
-			math.Float64bits(got.InvAvgDegree) != math.Float64bits(direct.InvAvgDegree) ||
-			got.Queries != direct.Queries {
-			t.Fatalf("%s result %+v != direct %+v", name, got, direct)
-		}
+	)).NetworkSize
+	if math.Float64bits(got.Size) != math.Float64bits(direct.Size) ||
+		math.Float64bits(got.C) != math.Float64bits(direct.C) ||
+		math.Float64bits(got.InvAvgDegree) != math.Float64bits(direct.InvAvgDegree) ||
+		got.Queries != direct.Queries {
+		t.Fatalf("spec result %+v != direct %+v", got, direct)
 	}
 }
 
-// TestRunCancellation checks the satellite's cancellation contract:
-// a mid-run cancel surfaces context.Canceled, stops within a round,
-// and leaves the injected world consistent and resumable.
+// TestRunCancellation checks the cancellation contract: a mid-run
+// cancel surfaces context.Canceled and stops within a round. The
+// terminal snapshot's exact round is pinned by
+// TestRunCancelledSnapshotRound; that a cancelled world stays
+// resumable is a sim.RunContext property, pinned by internal/sim's
+// TestRunContextResumesAfterCancel.
 func TestRunCancellation(t *testing.T) {
-	w := newTestWorld(t, 41, 2)
-	s := antdensity.DensitySpec(antdensity.WithWorld(w), antdensity.WithRounds(50_000_000))
+	s := antdensity.DensitySpec(
+		antdensity.WithGraph(topology.MustTorus(2, 20)),
+		antdensity.WithAgents(41),
+		antdensity.WithSeed(2),
+		antdensity.WithRounds(50_000_000),
+	)
 	r, err := s.NewRun()
 	if err != nil {
 		t.Fatal(err)
@@ -294,22 +258,6 @@ func TestRunCancellation(t *testing.T) {
 		t.Fatalf("Result() error = %v, want context.Canceled", err)
 	}
 
-	// The world stopped on a round boundary and remains resumable:
-	// a fresh estimation run on the same world must work.
-	roundsBefore := w.Round()
-	if roundsBefore == 0 {
-		t.Fatal("world did not advance before cancellation")
-	}
-	ests, err := core.Algorithm1(w, 10)
-	if err != nil {
-		t.Fatalf("resumed run failed: %v", err)
-	}
-	if len(ests) != 41 {
-		t.Fatalf("resumed run returned %d estimates", len(ests))
-	}
-	if got := w.Round(); got != roundsBefore+10 {
-		t.Fatalf("world rounds = %d, want %d", got, roundsBefore+10)
-	}
 }
 
 // TestRunCancelBeforeStart checks that a pending run can be
@@ -506,9 +454,9 @@ func TestRunSnapshotReadersEveryRound(t *testing.T) {
 	}
 }
 
-// TestRunTerminalSnapshotFresh pins that a run which stops between
-// snapshot strides (adaptive early stop with SnapshotEvery > 1) still
-// reports its true final round in the terminal snapshot.
+// TestRunTerminalSnapshotFresh pins that a run which stops early
+// (adaptive quorum, every agent decided) reports its true final round
+// in the terminal snapshot.
 func TestRunTerminalSnapshotFresh(t *testing.T) {
 	s := antdensity.AdaptiveQuorumSpec(0.05, // d = 0.1 >> theta: decides fast
 		antdensity.WithGraph(topology.MustTorus(2, 20)),
@@ -516,7 +464,6 @@ func TestRunTerminalSnapshotFresh(t *testing.T) {
 		antdensity.WithSeed(3),
 		antdensity.WithRounds(100000),
 		antdensity.WithBandConstant(0.6),
-		antdensity.WithSnapshotEvery(1000),
 	)
 	r, err := s.Start(context.Background())
 	if err != nil {

@@ -2,7 +2,9 @@ package antdensity
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -116,9 +118,11 @@ func TestSnapshotBitIdentity(t *testing.T) {
 			if err := r.Wait(); err != nil {
 				t.Fatal(err)
 			}
+			// Rounds 0..Rounds-1 were read before each capture; the
+			// terminal snapshot is the last round.
 			got = append(got, r.Snapshot())
-			if len(got) != s.Rounds+2 {
-				t.Fatalf("read %d snapshots, want %d", len(got), s.Rounds+2)
+			if len(got) != s.Rounds+1 {
+				t.Fatalf("read %d snapshots, want %d", len(got), s.Rounds+1)
 			}
 			for k, snap := range got {
 				round := min(k, s.Rounds)
@@ -209,6 +213,43 @@ func TestRunPublishZeroAllocs(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(100, publish); avg != 0 {
 			t.Errorf("%v: publish allocates %.1f times per round with no readers, want 0", s.Kind, avg)
+		}
+	}
+}
+
+// TestRunCancelledSnapshotRound pins the terminal snapshot of a
+// cancelled run at the round its world actually executed, for every
+// kind that steps a world: each round is published, so no republish
+// after the loop is needed.
+func TestRunCancelledSnapshotRound(t *testing.T) {
+	base := []SpecOption{WithTorus2D(20), WithAgents(41), WithSeed(2), WithRounds(50_000_000)}
+	for _, s := range []*Spec{
+		DensitySpec(base...),
+		IndependentSpec(base...),
+		PropertySpec(append(base, WithTaggedCount(10))...),
+		QuorumSpec(0.1, base...),
+		AdaptiveQuorumSpec(0.1, base...), // theta = d: most agents never decide
+	} {
+		r, err := s.Start(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for snap := r.Snapshot(); snap.Round < 3; snap = r.Snapshot() {
+			if snap.State.Terminal() {
+				t.Fatalf("%v: run ended (%v) before it could be cancelled", s.Kind, snap.State)
+			}
+			runtime.Gosched()
+		}
+		r.Cancel()
+		if err := r.Wait(); !errors.Is(err, context.Canceled) {
+			t.Fatalf("%v: Wait() = %v, want context.Canceled", s.Kind, err)
+		}
+		snap := r.Snapshot()
+		if snap.State != StateCanceled || snap.Round != r.world.Round() {
+			t.Fatalf("%v: terminal snapshot %v at round %d, world executed %d", s.Kind, snap.State, snap.Round, r.world.Round())
+		}
+		if len(snap.Estimates) != 41 {
+			t.Fatalf("%v: terminal snapshot has %d estimates", s.Kind, len(snap.Estimates))
 		}
 	}
 }

@@ -2,16 +2,17 @@ package antdensity
 
 // This file defines the v2 public API's declarative layer: a Spec is
 // a typed, validated description of one estimation run — which
-// estimator (Kind), on which graph or pre-built world, with which
-// horizon, noise model, tagging, and stopping rule — built either
-// directly or through functional options. A Spec compiles to a Run
-// (run.go), which executes with context cancellation and live anytime
-// snapshots; a Manager (manager.go) schedules many Runs concurrently.
+// estimator (Kind), on which graph, with which horizon, noise model,
+// tagging, and stopping rule — built either directly or through
+// functional options. A Spec compiles to a Run (run.go), which
+// executes with context cancellation and live anytime snapshots; a
+// Manager (manager.go) schedules many Runs concurrently.
 
 import (
 	"fmt"
 
 	"antdensity/internal/adversary"
+	"antdensity/internal/core"
 	"antdensity/internal/sim"
 )
 
@@ -107,17 +108,16 @@ type AdversarySpec struct {
 // checks every field and names the offending one on error, and NewRun
 // compiles it into an executable Run.
 //
-// Exactly one input source must be set: a Graph (the run builds its
-// own World from NumAgents and Seed) or, for advanced callers and the
-// deprecated v1 shims, a pre-built World.
+// Graph is required: every run builds its own world on it (from
+// NumAgents and Seed, or the netsize walkers from Walkers).
 type Spec struct {
 	// Kind selects the estimator.
 	Kind Kind
 	// Graph is the topology to build the run's world on (any Graph;
 	// see NewTorus2D and friends, or WithTorus2D-style options).
 	Graph Graph
-	// NumAgents is the number of agents placed on Graph. Ignored when
-	// World is set or Kind is KindNetworkSize (see Walkers).
+	// NumAgents is the number of agents placed on Graph. Unused for
+	// KindNetworkSize (see Walkers).
 	NumAgents int
 	// Seed drives all of the run's randomness.
 	Seed uint64
@@ -125,10 +125,6 @@ type Spec struct {
 	// density/independent/property/quorum runs, the round budget for
 	// adaptive quorum, and the collision-counting steps for netsize.
 	Rounds int
-	// World, when non-nil, supplies a pre-built world instead of
-	// Graph/NumAgents/Seed. The run steps the world in place; the v1
-	// shim functions use this to preserve their exact semantics.
-	World *World
 
 	// TaggedCount tags agents 0..TaggedCount-1 before the run (the
 	// Section 5.2 property carriers); TaggedAgents tags an explicit id
@@ -144,10 +140,6 @@ type Spec struct {
 	// Adversary makes a fraction of the agents misreport (density,
 	// property, and quorum kinds); see AdversarySpec.
 	Adversary *AdversarySpec
-	// EstimatorOptions are extra core estimator options appended after
-	// the structured fields above; the deprecated v1 shims pass their
-	// opaque option lists through here.
-	EstimatorOptions []EstimatorOption
 
 	// Threshold is the quorum density threshold theta (quorum kinds
 	// only; must be positive).
@@ -155,8 +147,8 @@ type Spec struct {
 	// Delta is the confidence parameter: adaptive quorum decides at
 	// confidence 1-Delta and snapshot confidence bands use it; 0 means
 	// 0.05. For KindNetworkSize it is the burn-in failure probability
-	// instead, where 0 means the netsize pipeline's own 0.1 default
-	// (matching NetworkSizeConfig.Delta), however the Spec was built.
+	// instead, where 0 means the netsize pipeline's own 0.1 default,
+	// however the Spec was built.
 	Delta float64
 	// C1 is the Theorem 1 constant shaping anytime confidence bands
 	// (see NewStreamingEstimator). 0 means 0.35.
@@ -176,19 +168,14 @@ type Spec struct {
 	// SeedVertex is where netsize walks begin when not Stationary.
 	SeedVertex int64
 
-	// SnapshotEvery throttles live snapshot publication to every k-th
-	// round. 0 means 1 (publish every round).
-	SnapshotEvery int
-
 	// Shards is the spatial shard count for the run's world (see
 	// sim.Config.Shards): 0 lets the world decide (sim.ShardAuto,
 	// which also honors the process-wide sim.SetDefaultShards default
 	// installed by the CLI's -shards flag). Purely an execution-layout
 	// knob — results are bit-identical for every shard count, so it is
-	// excluded from the fingerprint. Ignored when World is set (the
-	// injected world already has its layout) and for KindNetworkSize,
-	// whose walker world is built internally and follows the
-	// process-wide default.
+	// excluded from the fingerprint. Ignored for KindNetworkSize, whose
+	// walker world is built internally and follows the process-wide
+	// default.
 	Shards int
 
 	// GraphKey optionally names Graph's canonical identity when the
@@ -203,20 +190,16 @@ type Spec struct {
 	// graphErr records a deferred error from a graph-building option
 	// (e.g. WithTorus2D with an invalid side); Validate surfaces it.
 	graphErr error
-	// netProgress chains a caller-supplied netsize progress hook ahead
-	// of the Run's snapshot publisher (the deprecated
-	// EstimateNetworkSize shim passes its Config.Progress through).
-	netProgress func(done, total int)
 }
 
 // SpecOption mutates a Spec under construction.
 type SpecOption func(*Spec)
 
 // NewSpec returns a Spec of the given kind with defaults applied
-// (Delta 0.05, C1 0.35, SnapshotEvery 1, automatic netsize burn-in)
-// and the options run in order.
+// (Delta 0.05, C1 0.35, automatic netsize burn-in) and the options run
+// in order.
 func NewSpec(kind Kind, opts ...SpecOption) *Spec {
-	s := &Spec{Kind: kind, Delta: 0.05, C1: 0.35, BurnIn: -1, SnapshotEvery: 1}
+	s := &Spec{Kind: kind, Delta: 0.05, C1: 0.35, BurnIn: -1}
 	if kind == KindNetworkSize {
 		// Netsize resolves Delta == 0 to its own 0.1 burn-in default;
 		// leaving 0 here keeps constructor-built and directly
@@ -307,11 +290,6 @@ func WithSeed(seed uint64) SpecOption { return func(s *Spec) { s.Seed = seed } }
 // WithRounds sets the estimation horizon (see Spec.Rounds).
 func WithRounds(t int) SpecOption { return func(s *Spec) { s.Rounds = t } }
 
-// WithWorld supplies a pre-built world instead of Graph/NumAgents/
-// Seed; the run steps it in place. The deprecated v1 wrappers use
-// this to reproduce their exact historical outputs.
-func WithWorld(w *World) SpecOption { return func(s *Spec) { s.World = w } }
-
 // WithTaggedCount tags agents 0..k-1 as property carriers before the
 // run starts.
 func WithTaggedCount(k int) SpecOption { return func(s *Spec) { s.TaggedCount = k } }
@@ -343,12 +321,6 @@ func WithAdversary(kind string, fraction, param float64, seed uint64) SpecOption
 	}
 }
 
-// WithEstimatorOptions appends opaque core estimator options (the v1
-// EstimatorOption values) after the Spec's structured fields.
-func WithEstimatorOptions(opts ...EstimatorOption) SpecOption {
-	return func(s *Spec) { s.EstimatorOptions = append(s.EstimatorOptions, opts...) }
-}
-
 // WithConfidence sets the confidence parameter delta in (0, 1).
 func WithConfidence(delta float64) SpecOption { return func(s *Spec) { s.Delta = delta } }
 
@@ -373,12 +345,6 @@ func WithStationary() SpecOption { return func(s *Spec) { s.Stationary = true } 
 // WithSeedVertex sets the vertex netsize walks begin at.
 func WithSeedVertex(v int64) SpecOption { return func(s *Spec) { s.SeedVertex = v } }
 
-// WithSnapshotEvery publishes live snapshots every k-th round instead
-// of every round. Publishing a density or quorum round copies the
-// collision counts, and readers pay for deriving the rounds they
-// read; the other kinds compute their estimates when they publish.
-func WithSnapshotEvery(k int) SpecOption { return func(s *Spec) { s.SnapshotEvery = k } }
-
 // WithShards sets the run world's spatial shard count (0 = auto; see
 // Spec.Shards — never affects results, only execution layout).
 func WithShards(k int) SpecOption { return func(s *Spec) { s.Shards = k } }
@@ -386,8 +352,8 @@ func WithShards(k int) SpecOption { return func(s *Spec) { s.Shards = k } }
 // isQuorum reports whether the kind is one of the quorum estimators.
 func (k Kind) isQuorum() bool { return k == KindQuorum || k == KindQuorumAdaptive }
 
-// supportsSensing reports whether the kind accepts the tagging /
-// noise / estimator-option fields (the core collision estimators).
+// supportsSensing reports whether the kind accepts the tagging and
+// noise fields (the core collision estimators).
 func (k Kind) supportsSensing() bool {
 	switch k {
 	case KindDensity, KindProperty, KindQuorum:
@@ -416,19 +382,14 @@ func (s *Spec) Validate() error {
 	if s.Kind == KindNetworkSize {
 		return s.validateNetsize()
 	}
-	if s.World == nil {
-		if s.Graph == nil {
-			return fmt.Errorf("antdensity: Spec.Graph is required when Spec.World is unset (use WithGraph or a topology option)")
-		}
-		if s.NumAgents < 1 {
-			return fmt.Errorf("antdensity: Spec.NumAgents must be >= 1, got %d", s.NumAgents)
-		}
+	if s.Graph == nil {
+		return fmt.Errorf("antdensity: Spec.Graph is required (use WithGraph or a topology option)")
+	}
+	if s.NumAgents < 1 {
+		return fmt.Errorf("antdensity: Spec.NumAgents must be >= 1, got %d", s.NumAgents)
 	}
 	if s.Rounds < 1 {
 		return fmt.Errorf("antdensity: Spec.Rounds must be >= 1, got %d", s.Rounds)
-	}
-	if s.SnapshotEvery < 0 {
-		return fmt.Errorf("antdensity: Spec.SnapshotEvery must be >= 0 (0 means every round), got %d", s.SnapshotEvery)
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("antdensity: Spec.Shards must be >= 0 (0 means auto), got %d", s.Shards)
@@ -452,9 +413,6 @@ func (s *Spec) Validate() error {
 		if s.TaggedOnly {
 			return fmt.Errorf("antdensity: Spec.TaggedOnly is not supported for kind %q (valid: density, quorum)", s.Kind)
 		}
-		if len(s.EstimatorOptions) > 0 {
-			return fmt.Errorf("antdensity: Spec.EstimatorOptions are not supported for kind %q (valid: density, property, quorum)", s.Kind)
-		}
 		if s.TaggedCount != 0 || len(s.TaggedAgents) > 0 {
 			return fmt.Errorf("antdensity: Spec.TaggedCount/TaggedAgents are not supported for kind %q (valid: density, property, quorum)", s.Kind)
 		}
@@ -462,14 +420,12 @@ func (s *Spec) Validate() error {
 	if s.Kind != KindIndependent && s.PolicySeed != 0 {
 		return fmt.Errorf("antdensity: Spec.PolicySeed is only valid for kind %q, not %q", KindIndependent, s.Kind)
 	}
-	if n := s.agentCount(); n >= 0 {
-		if s.TaggedCount < 0 || s.TaggedCount > n {
-			return fmt.Errorf("antdensity: Spec.TaggedCount %d outside [0, %d] (the agent count)", s.TaggedCount, n)
-		}
-		for _, id := range s.TaggedAgents {
-			if id < 0 || id >= n {
-				return fmt.Errorf("antdensity: Spec.TaggedAgents id %d outside [0, %d)", id, n)
-			}
+	if s.TaggedCount < 0 || s.TaggedCount > s.NumAgents {
+		return fmt.Errorf("antdensity: Spec.TaggedCount %d outside [0, %d] (the agent count)", s.TaggedCount, s.NumAgents)
+	}
+	for _, id := range s.TaggedAgents {
+		if id < 0 || id >= s.NumAgents {
+			return fmt.Errorf("antdensity: Spec.TaggedAgents id %d outside [0, %d)", id, s.NumAgents)
 		}
 	}
 	if s.Noise != nil {
@@ -506,9 +462,6 @@ func (s *Spec) Validate() error {
 
 // validateNetsize checks the KindNetworkSize field subset.
 func (s *Spec) validateNetsize() error {
-	if s.World != nil {
-		return fmt.Errorf("antdensity: Spec.World is not supported for kind %q (the pipeline builds its own walkers)", s.Kind)
-	}
 	if s.Graph == nil {
 		return fmt.Errorf("antdensity: Spec.Graph is required for kind %q", s.Kind)
 	}
@@ -519,10 +472,7 @@ func (s *Spec) validateNetsize() error {
 		return fmt.Errorf("antdensity: Spec.Rounds (collision-counting steps) must be >= 1, got %d", s.Rounds)
 	}
 	if s.Delta < 0 || s.Delta >= 1 {
-		return fmt.Errorf("antdensity: Spec.Delta %v outside (0, 1) (0 means the 0.05 default)", s.Delta)
-	}
-	if s.SnapshotEvery < 0 {
-		return fmt.Errorf("antdensity: Spec.SnapshotEvery must be >= 0 (0 means every round), got %d", s.SnapshotEvery)
+		return fmt.Errorf("antdensity: Spec.Delta %v outside (0, 1) (0 means the netsize 0.1 default)", s.Delta)
 	}
 	if s.Shards < 0 {
 		return fmt.Errorf("antdensity: Spec.Shards must be >= 0 (0 means auto), got %d", s.Shards)
@@ -535,7 +485,7 @@ func (s *Spec) validateNetsize() error {
 	if s.NumAgents != 0 {
 		return fmt.Errorf("antdensity: Spec.NumAgents is not used by kind %q; set Spec.Walkers instead", s.Kind)
 	}
-	if s.Noise != nil || s.TaggedOnly || s.TaggedCount != 0 || len(s.TaggedAgents) > 0 || len(s.EstimatorOptions) > 0 {
+	if s.Noise != nil || s.TaggedOnly || s.TaggedCount != 0 || len(s.TaggedAgents) > 0 {
 		return fmt.Errorf("antdensity: noise/tagging fields are not supported for kind %q", s.Kind)
 	}
 	if s.Adversary != nil {
@@ -545,18 +495,6 @@ func (s *Spec) validateNetsize() error {
 		return fmt.Errorf("antdensity: Spec.Threshold is only valid for quorum kinds, not %q", s.Kind)
 	}
 	return nil
-}
-
-// agentCount returns the number of agents the run will have, or -1
-// when unknown at validation time.
-func (s *Spec) agentCount() int {
-	if s.World != nil {
-		return s.World.NumAgents()
-	}
-	if s.Kind == KindNetworkSize {
-		return s.Walkers
-	}
-	return s.NumAgents
 }
 
 // delta returns the effective confidence parameter.
@@ -575,24 +513,12 @@ func (s *Spec) c1() float64 {
 	return s.C1
 }
 
-// snapshotEvery returns the effective snapshot publication stride.
-func (s *Spec) snapshotEvery() int {
-	if s.SnapshotEvery <= 0 {
-		return 1
-	}
-	return s.SnapshotEvery
-}
-
-// buildWorld materializes the Spec's world: the injected one, or a
-// fresh sim.World from Graph/NumAgents/Seed, with tagging applied.
-func (s *Spec) buildWorld() (*World, error) {
-	w := s.World
-	if w == nil {
-		var err error
-		w, err = sim.NewWorld(sim.Config{Graph: s.Graph, NumAgents: s.NumAgents, Seed: s.Seed, Shards: s.Shards})
-		if err != nil {
-			return nil, err
-		}
+// buildWorld materializes the Spec's world from Graph/NumAgents/Seed,
+// with tagging applied.
+func (s *Spec) buildWorld() (*sim.World, error) {
+	w, err := sim.NewWorld(sim.Config{Graph: s.Graph, NumAgents: s.NumAgents, Seed: s.Seed, Shards: s.Shards})
+	if err != nil {
+		return nil, err
 	}
 	for i := 0; i < s.TaggedCount; i++ {
 		w.SetTagged(i, true)
@@ -642,15 +568,15 @@ func (s *Spec) tamperer(n int) (*adversary.Tamperer, error) {
 	return adversary.New(n, cfg)
 }
 
-// estimatorOptions assembles the core option list: structured fields
-// first, then the opaque EstimatorOptions pass-through.
-func (s *Spec) estimatorOptions() []EstimatorOption {
-	var opts []EstimatorOption
+// estimatorOptions assembles the core option list from the tagging
+// and noise fields.
+func (s *Spec) estimatorOptions() []core.Option {
+	var opts []core.Option
 	if s.TaggedOnly {
-		opts = append(opts, WithTaggedOnly())
+		opts = append(opts, core.WithTaggedOnly())
 	}
 	if s.Noise != nil {
-		opts = append(opts, WithNoise(s.Noise.DetectProb, s.Noise.SpuriousProb, s.Noise.Seed))
+		opts = append(opts, core.WithNoise(s.Noise.DetectProb, s.Noise.SpuriousProb, s.Noise.Seed))
 	}
-	return append(opts, s.EstimatorOptions...)
+	return opts
 }

@@ -60,11 +60,6 @@ func TestSpecValidationErrors(t *testing.T) {
 			want: "Spec.Rounds must be >= 1",
 		},
 		{
-			name: "negative snapshot stride",
-			spec: antdensity.DensitySpec(base(antdensity.WithSnapshotEvery(-1))...),
-			want: "Spec.SnapshotEvery",
-		},
-		{
 			name: "delta out of range",
 			spec: antdensity.DensitySpec(base(antdensity.WithConfidence(1.5))...),
 			want: "Spec.Delta 1.5 outside (0, 1)",
@@ -102,11 +97,6 @@ func TestSpecValidationErrors(t *testing.T) {
 			name: "tagged-only on adaptive quorum",
 			spec: antdensity.AdaptiveQuorumSpec(0.1, base(antdensity.CountTaggedOnly())...),
 			want: "Spec.TaggedOnly is not supported",
-		},
-		{
-			name: "estimator options on independent",
-			spec: antdensity.IndependentSpec(base(antdensity.WithEstimatorOptions(antdensity.WithTaggedOnly()))...),
-			want: "Spec.EstimatorOptions are not supported",
 		},
 		{
 			name: "tagged count on independent",
@@ -154,19 +144,6 @@ func TestSpecValidationErrors(t *testing.T) {
 			want: "Spec.SeedVertex is only valid",
 		},
 		{
-			name: "netsize with world",
-			spec: func() *antdensity.Spec {
-				w, err := antdensity.NewWorld(antdensity.WorldConfig{Graph: g, NumAgents: 5, Seed: 1})
-				if err != nil {
-					t.Fatal(err)
-				}
-				s := antdensity.NetworkSizeSpec(antdensity.WithWalkers(4), antdensity.WithRounds(10))
-				s.World = w
-				return s
-			}(),
-			want: "Spec.World is not supported",
-		},
-		{
 			name: "netsize missing graph",
 			spec: antdensity.NetworkSizeSpec(antdensity.WithWalkers(4), antdensity.WithRounds(10)),
 			want: "Spec.Graph is required",
@@ -180,6 +157,12 @@ func TestSpecValidationErrors(t *testing.T) {
 			name: "netsize zero steps",
 			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(g), antdensity.WithWalkers(4)),
 			want: "Spec.Rounds (collision-counting steps) must be >= 1",
+		},
+		{
+			name: "netsize delta out of range",
+			spec: antdensity.NetworkSizeSpec(antdensity.WithGraph(g), antdensity.WithWalkers(4),
+				antdensity.WithRounds(10), antdensity.WithConfidence(1.5)),
+			want: "Spec.Delta 1.5 outside (0, 1) (0 means the netsize 0.1 default)",
 		},
 		{
 			name: "netsize seed vertex out of range",

@@ -24,10 +24,8 @@ import (
 // decision, because an unhashed result-affecting field would make the
 // (Spec, seed) cache serve wrong results to every deduped client.
 var fingerprintExcluded = []string{
-	"SnapshotEvery", // snapshot publication throttle: purely observational
-	"Shards",        // execution layout; results are shard-invariant (TestRunShardInvariance)
-	"graphErr",      // deferred option error; Validate rejects the Spec before any run
-	"netProgress",   // progress callback: observational, never feeds a result
+	"Shards",   // execution layout; results are shard-invariant (TestRunShardInvariance)
+	"graphErr", // deferred option error; Validate rejects the Spec before any run
 }
 
 // GraphIdentity is optionally implemented by Graphs with a canonical,
@@ -42,18 +40,14 @@ type GraphIdentity interface {
 // Fingerprint returns a canonical content hash of the Spec's
 // result-determining fields (kind, graph identity, agent count, seed,
 // horizon, tagging, noise, thresholds, netsize knobs — everything
-// except purely observational settings like SnapshotEvery), and
-// whether the Spec is fingerprintable at all.
+// except execution-layout settings like Shards), and whether the Spec
+// is fingerprintable at all.
 //
 // It returns ok == false when the Spec's result cannot be proven
-// equal from its fields alone: a pre-built World (arbitrary mutable
-// state), opaque EstimatorOptions (closures), or a Graph with no
+// equal from its fields alone, which happens only for a Graph with no
 // identity (no GraphIdentity implementation and no Spec.GraphKey).
 // Non-fingerprintable Specs simply bypass result caches.
 func (s *Spec) Fingerprint() (string, bool) {
-	if s.World != nil || len(s.EstimatorOptions) > 0 {
-		return "", false
-	}
 	gid, ok := s.graphIdentity()
 	if !ok {
 		return "", false

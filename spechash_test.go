@@ -43,17 +43,10 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 		}
 	}
 
-	// SnapshotEvery is observational: same fingerprint.
-	s := base()
-	s.SnapshotEvery = 50
-	if got := fingerprintOK(t, s); got != fp {
-		t.Errorf("SnapshotEvery changed the fingerprint: %s vs %s", got, fp)
-	}
-
 	// Shards is execution layout only (results are shard-invariant):
 	// same fingerprint, so sharded and flat submissions dedup together.
 	for _, k := range []int{1, 2, 7} {
-		s = base()
+		s := base()
 		s.Shards = k
 		if got := fingerprintOK(t, s); got != fp {
 			t.Errorf("Shards = %d changed the fingerprint: %s vs %s", k, got, fp)
@@ -61,7 +54,7 @@ func TestFingerprintStableAndSensitive(t *testing.T) {
 	}
 
 	// Explicit Delta equal to the default hashes like the default.
-	s = base()
+	s := base()
 	s.Delta = 0.05
 	if got := fingerprintOK(t, s); got != fp {
 		t.Errorf("explicit default Delta changed the fingerprint")
@@ -85,31 +78,13 @@ func TestFingerprintTaggedAgentsCanonical(t *testing.T) {
 }
 
 func TestFingerprintUnfingerprintable(t *testing.T) {
-	// Pre-built World: arbitrary state, not content-addressable.
-	w, err := antdensity.NewWorld(antdensity.WorldConfig{
-		Graph: topology.MustTorus(2, 20), NumAgents: 5, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := antdensity.DensitySpec(antdensity.WithWorld(w), antdensity.WithRounds(10))
-	if _, ok := s.Fingerprint(); ok {
-		t.Error("World-backed spec should not be fingerprintable")
-	}
-
-	// Opaque estimator options: closures.
-	s = quickSpec(1)
-	s.EstimatorOptions = []antdensity.EstimatorOption{antdensity.WithTaggedOnly()}
-	if _, ok := s.Fingerprint(); ok {
-		t.Error("spec with opaque estimator options should not be fingerprintable")
-	}
-
-	// An identity-less graph is not fingerprintable — until a GraphKey
-	// asserts the recipe.
+	// An identity-less graph is the one unfingerprintable case — until
+	// a GraphKey asserts the recipe.
 	adj, err := antdensity.NewRandomRegular(64, 4, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s = antdensity.DensitySpec(
+	s := antdensity.DensitySpec(
 		antdensity.WithGraph(adj),
 		antdensity.WithAgents(5),
 		antdensity.WithRounds(10),
